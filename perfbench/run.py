@@ -18,9 +18,17 @@ is a fresh interpreter, so memo tables are cold in every repetition, as a
 CLI user finds them.  run.py first spends a tenth of ``--seconds`` on
 workers that only set up, so that ``setup_s`` is a median of many set-ups
 (set-up time is noisy from process to process), then repeats the workload
-until ``--seconds`` would be exceeded: at least three untraced repetitions,
+until ``--seconds`` would be exceeded: at least two untraced repetitions,
 or with ``--trace 1`` untraced and traced repetitions in turn, at least one
 of each.
+
+Every time is reported in reference seconds.  The host is shared and its
+speed drifts by up to a factor of two over minutes, so each worker also runs
+a fixed reference task between its timed segments, and every time the
+worker measured is multiplied by the host speed factor that the task gave
+next to it (reference.py says how).  Set-up times are multiplied by the
+median factor of the run's repetitions.  The report prints each
+repetition's factor and the unscaled wall time.
 
 Outputs are checked outside the timed region: the first repetition in full,
 every later one by requiring the same output digest (the inputs depend only
@@ -96,6 +104,23 @@ def spawn(cfg, deadline):
     if code != 0 or first.strip() != "ready":
         raise BenchError(f"{cfg['workload']}: worker exited with {code}", WORKER_FAILED)
     return setup_s, (json.loads(rest.splitlines()[-1]) if rest else None)
+
+
+def scale(result):
+    """Turn a repetition's times into reference seconds, in place: each op
+    by its own speed factor when it has one (a CLI stage or a large-object
+    call), else by the repetition's.  The wall time is the sum of the ops' times, as measured;
+    the unscaled one stays in ``wall_raw_s``."""
+    factor = result["speed"]
+    speed = {label: f or factor for label, f in result["op_speed"].items()}
+    result["ops"] = [(label, span, seconds * speed.get(label, factor), error)
+                     for label, span, seconds, error in result["ops"]]
+    result["wall_raw_s"] = result["wall_s"]
+    result["wall_s"] = sum(seconds for _, _, seconds, _ in result["ops"])
+    result["stages"] = {k: v * speed.get(f"cli {k}", factor)
+                        for k, v in result["stages"].items()}
+    for row in result.get("table", {}).values():
+        row["self_s"] *= factor
 
 
 def quantile(values, q):
@@ -186,8 +211,9 @@ def per_layer(spec, plain, traced):
 def report_layers(traced, overhead):
     rep = sorted(traced, key=lambda r: r["wall_s"])[len(traced) // 2]
     table = rep["table"]
+    wall = rep["wall_raw_s"] * rep["speed"]  # scaled as the table is
     print(f"per-layer self time, one traced repetition "
-          f"(wall {rep['wall_s']:.4f} s, {rep['spans']} spans):")
+          f"(wall {wall:.4f} s, {rep['spans']} spans):")
     covered = 0.0
     for layer in LAYERS:
         rows = {k: v for k, v in table.items() if k.split(".", 1)[0] == layer}
@@ -198,7 +224,7 @@ def report_layers(traced, overhead):
             extra = f" objects={v['objects']}" if v["objects"] else ""
             extra += f" failed={v['failed']}" if v["failed"] else ""
             print(f"      {k:<36} {v['self_s']:10.4f} s  calls={v['calls']}{extra}")
-    print(f"  {'(no span)':<12} {rep['wall_s'] - covered:10.4f} s")
+    print(f"  {'(no span)':<12} {wall - covered:10.4f} s")
     print(f"trace.overhead_share {overhead:.4f} (traced wall / untraced wall - 1)")
     print("not wrapped, so their time stays in the caller:")
     for line in rep["unwrapped"]:
@@ -215,7 +241,7 @@ def measure(args, cfg):
     while len(setups) < SETUP_MIN or time.perf_counter() < start + SETUP_SHARE * args.seconds:
         setups.append(spawn({**cfg, "mode": "setup", "full_check": False}, deadline)[0])
     plain, traced = [], []
-    need = {"plain": 1 if args.trace else 3, "traced": args.trace}
+    need = {"plain": 1 if args.trace else 2, "traced": args.trace}
     longest = {}
     for i, kind in enumerate(itertools.cycle(("plain", "traced") if args.trace else ("plain",))):
         done = len(plain) >= need["plain"] and len(traced) >= need["traced"]
@@ -236,9 +262,11 @@ def measure(args, cfg):
         longest[kind] = max(longest.get(kind, 0.0), time.perf_counter() - t0)
         if result["digest"] != (plain or traced or [result])[0]["digest"]:
             raise BenchError(f"repetition {i} gave different outputs", WRONG_ANSWER)
+        scale(result)
         setups.append(setup_s)
         (traced if kind == "traced" else plain).append(result)
-    return setups, plain, traced, time.perf_counter() - start
+    speed = statistics.median(r["speed"] for r in plain + traced)
+    return [s * speed for s in setups], plain, traced, time.perf_counter() - start
 
 
 def main(argv=None):
@@ -278,6 +306,9 @@ def main(argv=None):
     print(f"perfbench {args.workload} seed={args.seed} size={args.size} "
           f"trace={args.trace}: {len(plain)} untraced + {len(traced)} traced "
           f"repetitions, {len(setups)} set-ups, {elapsed:.1f} s")
+    print("times in reference seconds; host speed factors "
+          + ", ".join(f"{r['speed']:.3f}" for r in reps)
+          + f"; unscaled wall_s median {statistics.median(r['wall_raw_s'] for r in plain):.4f} s")
     units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
     for name, value in e2e.items():
         print(f"  {name:<14} {value:14.6g} {units.get(name, 'share'):<6} {notes[name]}")

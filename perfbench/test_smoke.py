@@ -18,6 +18,7 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 sys.path[:0] = [str(ROOT / "src"), str(HERE)]
 
+import reference  # noqa: E402
 import run  # noqa: E402
 import workloads  # noqa: E402
 from partition_paths import LatticePath, SeriesTable, SetPartition  # noqa: E402
@@ -130,6 +131,25 @@ class Gates(unittest.TestCase):
 
         self.assertEqual(inputs(5), inputs(5))
         self.assertNotEqual(inputs(5), inputs(6))
+
+
+class Calibration(unittest.TestCase):
+    def test_pauses_sample_in_proportion_to_work(self):
+        cal = reference.Calibration(n=8)
+        cal.pause(0.0)
+        self.assertEqual(cal.chunks, 1)  # the first pause always samples
+        mark = cal.mark()
+        cal.pause(0.0)
+        self.assertIsNone(cal.factor(mark))  # nothing owed, no chunk
+        cal.pause(0.2)
+        self.assertGreaterEqual(cal.seconds, 0.5 * 0.2)
+        self.assertGreater(cal.factor(mark), 0)
+
+    def test_every_pause_samples_once_at_least(self):
+        cal = reference.Calibration(n=8, share=0.0, every_pause=True)
+        for _ in range(3):
+            cal.pause(1.0)
+        self.assertEqual(cal.chunks, 3)
 
 
 if __name__ == "__main__":

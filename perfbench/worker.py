@@ -3,9 +3,11 @@
 Started by run.py with a JSON config as its only argument.  It prints
 ``ready`` once the package is imported and the inputs are built (the end of
 set-up), then, unless the mode is ``setup``, does the workload's fixed work
-once, checks the outputs outside the timed region (in full when the config
-says so) and prints one JSON line of results, including a digest of the
-outputs.  A wrong answer exits with code 3 and a message on stderr.
+once, with the reference task (reference.py) between its timed segments,
+checks the outputs outside the timed region (in full when the config says
+so) and prints one JSON line of results, including a digest of the outputs
+and the host speed factor that the reference task measured.
+A wrong answer exits with code 3 and a message on stderr.
 """
 
 import json
@@ -16,6 +18,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
 
+import reference  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 
@@ -32,7 +35,8 @@ def main():
 
     tracer = tracing.Tracer() if cfg["mode"] == "traced" else None
     saved = tracing.install(tracer) if tracer else []
-    rep = run(state, tracer)
+    calibration = reference.Calibration(**workloads.CALIBRATION.get(cfg["workload"], {}))
+    rep = run(state, tracer, calibration)
     tracing.uninstall(saved)
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
@@ -51,6 +55,8 @@ def main():
         "listed_partitions": rep.listed_partitions,
         "unchecked": rep.outputs.get("unchecked", []),
         "rss_mb": rss_mb,
+        "speed": calibration.factor(),
+        "op_speed": rep.op_speed,
     }
     if tracer:
         out["table"] = tracer.table()

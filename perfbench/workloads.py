@@ -2,11 +2,15 @@
 gates.
 
 Each workload has ``prepare(name, seed, size)``, which builds its inputs
-(part of set-up); ``run(state, tracer)``, which does the fixed work once and
-returns a :class:`Rep`; and ``check(state, rep, full)``, which runs after the
-timed region, raises :class:`WrongAnswer` on any output that is not correct
-and returns a digest of the outputs.  Outputs are deterministic for a seed,
-so run.py checks one repetition in full and requires every other
+(part of set-up); ``run(state, tracer, calibration)``, which does the fixed
+work once and returns a :class:`Rep`; and ``check(state, rep, full)``, which
+runs after the timed region, raises :class:`WrongAnswer` on any output that
+is not correct and returns a digest of the outputs.  ``run`` pauses the
+``calibration`` (a :class:`reference.Calibration` made with the workload's
+``CALIBRATION`` settings, when given) before, between and after its timed
+segments, so that run.py can scale the times by the host's speed at the
+time; no timed segment includes a pause.  Outputs are deterministic for a
+seed, so run.py checks one repetition in full and requires every other
 repetition of the run to produce the same digest.
 """
 
@@ -66,6 +70,18 @@ class Rep:
     stages: dict = field(default_factory=dict)
     listed_partitions: int = 0
     outputs: dict = field(default_factory=dict)
+    paused_s: float = 0.0  # seconds spent in calibration pauses
+    op_speed: dict = field(default_factory=dict)  # op label -> its own speed factor
+
+    def pause(self, calibration, worked_s, tracer=None):
+        """A point between timed segments, ``worked_s`` seconds of work after
+        the previous one.  Traced, the pause is a span of its own, outside
+        every layer, so that no layer's self time includes it."""
+        if calibration:
+            sid = tracer.open(tracer.name_id("reference.calibrate")) if tracer else None
+            self.paused_s += calibration.pause(worked_s)
+            if tracer:
+                tracer.close(sid)
 
 
 def sha256(text):
@@ -109,13 +125,42 @@ STREAMS = {
 }
 
 
-def _cli_stage(argv, text, tracer, nid):
+PAUSE_EVERY = 8192  # stdout writes between two calibration pauses
+
+
+class _PausingStdout(io.StringIO):
+    """In-memory stdout that pauses the calibration every ``PAUSE_EVERY``
+    writes, so that the host's speed is sampled during a long CLI stage."""
+
+    def __init__(self, rep, calibration, tracer):
+        super().__init__()
+        self.pause_args = rep, calibration, tracer
+        self.writes = 0
+        self.mark = time.perf_counter()
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes % PAUSE_EVERY == 0:
+            self.pause()
+        return super().write(text)
+
+    def pause(self):
+        rep, calibration, tracer = self.pause_args
+        rep.pause(calibration, time.perf_counter() - self.mark, tracer)
+        self.mark = time.perf_counter()
+
+
+def _cli_stage(argv, text, rep, calibration, tracer, nid):
     """``cli.main(argv)`` with stdin and stdout bound to in-memory text, as
-    one stage of a shell pipeline.  Returns (error, stdout, seconds); error
-    is None when the stage exited 0."""
+    one stage of a shell pipeline.  Returns (error, stdout, seconds, speed
+    factor of the pauses during and after it); error is None when the stage
+    exited 0, and the seconds leave out the pauses."""
     saved = sys.stdin, sys.stdout
-    sys.stdin, sys.stdout = io.StringIO(text), io.StringIO()
+    stdout = _PausingStdout(rep, calibration, tracer) if calibration else io.StringIO()
+    sys.stdin, sys.stdout = io.StringIO(text), stdout
     error = None
+    before = rep.paused_s
+    mark = calibration.mark() if calibration else None
     sid = tracer.open(nid) if tracer else None
     t0 = time.perf_counter()
     try:
@@ -127,27 +172,33 @@ def _cli_stage(argv, text, tracer, nid):
     t1 = time.perf_counter()
     if tracer:
         tracer.close(sid, failed=code != 0)
-    out = sys.stdout.getvalue()
+    seconds = t1 - t0 - (rep.paused_s - before)
     sys.stdin, sys.stdout = saved
+    speed = None
+    if calibration:
+        stdout.pause()
+        speed = calibration.factor(mark)
     if code != 0 and error is None:
         error = f"exit {code}"
-    return error, out, t1 - t0
+    return error, stdout.getvalue(), seconds, speed
 
 
 def stream_prepare(name, seed, size):
     return {"name": name, "size": size, "stages": STREAMS[name](SIZES[size])}
 
 
-def stream_run(state, tracer):
+def stream_run(state, tracer, calibration=None):
     rep = Rep()
     nid = tracer.name_id("cli.main") if tracer else None
     text = ""
+    rep.pause(calibration, 0.0, tracer)
     for stage, argv in state["stages"]:
         if rep.ops and rep.ops[-1][3] is not None:
             rep.ops.append((f"cli {stage}", "cli.main", 0.0, "upstream failed"))
             continue
-        error, text, seconds = _cli_stage(argv, text, tracer, nid)
+        error, text, seconds, speed = _cli_stage(argv, text, rep, calibration, tracer, nid)
         rep.ops.append((f"cli {stage}", "cli.main", seconds, error))
+        rep.op_speed[f"cli {stage}"] = speed
         rep.stages[stage] = seconds
         rep.outputs[stage] = text
         rep.wall_s += seconds
@@ -175,10 +226,37 @@ def verify_prepare(name, seed, size):
     return {"size": size, "max_n": SIZES[size]["verify_max_n"]}
 
 
-def verify_run(state, tracer):
+def _paused(fn, rep, calibration, tracer):
+    """``fn`` with a calibration pause after each call."""
+
+    def check(bound):
+        t0 = time.perf_counter()
+        try:
+            return fn(bound)
+        finally:
+            rep.pause(calibration, time.perf_counter() - t0, tracer)
+
+    return check
+
+
+def verify_run(state, tracer, calibration=None):
+    """One ``verify.run_checks`` call.  With a calibration, ``verify.CHECKS``
+    is replaced for the call by the same checks with a pause after each, and
+    the pauses are taken off the call's time."""
     rep = Rep()
     nid = tracer.name_id("verify.run_checks") if tracer else None
-    results, error, seconds = _timed(tracer, nid, verify.run_checks, (state["max_n"],))
+    checks = verify.CHECKS
+    if calibration:
+        rep.pause(calibration, 0.0, tracer)
+        verify.CHECKS = tuple(
+            (name, cap, _paused(fn, rep, calibration, tracer)) for name, cap, fn in checks
+        )
+    before = rep.paused_s
+    try:
+        results, error, seconds = _timed(tracer, nid, verify.run_checks, (state["max_n"],))
+    finally:
+        verify.CHECKS = checks
+    seconds -= rep.paused_s - before
     rep.wall_s = seconds
     rep.ops.append(("verify.run_checks", "verify.run_checks", seconds, error))
     rep.objects = VERIFY_CHECKS
@@ -433,17 +511,26 @@ def large_prepare(name, seed, size):
     return {"ops": ops}
 
 
-def large_run(state, tracer):
+def large_run(state, tracer, calibration=None):
     """One call per op, each timed at this call site.  The same code runs
-    traced and untraced, so the stack depth at every call is the same."""
+    traced and untraced, so the stack depth at every call is the same.  With
+    a calibration, each call's speed factor comes from the pauses just before
+    and just after it."""
     rep = Rep()
     nids = {op.span: tracer.name_id(op.span) for op in state["ops"]} if tracer else {}
     results = []
+    before = calibration.mark() if calibration else None
+    rep.pause(calibration, 0.0, tracer)
     for op in state["ops"]:
         result, error, seconds = _timed(tracer, nids.get(op.span), op.fn, op.args)
         rep.ops.append((op.label, op.span, seconds, error))
         results.append(result)
         rep.wall_s += seconds
+        if calibration:
+            after = calibration.mark()
+            rep.pause(calibration, seconds, tracer)
+            rep.op_speed[op.label] = calibration.factor(before)
+            before = after
     rep.objects = len(state["ops"])
     rep.outputs["results"] = results
     return rep
@@ -463,6 +550,10 @@ def large_check(state, rep, full):
     rep.outputs["unchecked"] = unchecked
     return sha256("\n".join(lines))
 
+
+# reference.Calibration settings: small chunks on both sides of every
+# large-object call, whose calls are too short for the default chunk
+CALIBRATION = {"large_objects": {"n": 8, "share": 0.25, "every_pause": True}}
 
 WORKLOADS = {
     "verify_n8": (verify_prepare, verify_run, verify_check),
