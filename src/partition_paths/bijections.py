@@ -14,8 +14,8 @@ Composing encode with to_odd_peaks gives bijections from each avoidance
 class onto the paths without peaks at even level.
 """
 
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .partitions import (
@@ -90,17 +90,11 @@ class DecoderState:
     """Step labeling built while decoding a path.
 
     ``steps`` is the working path (the input with one peak prepended) and
-    ``labels[i]`` the label given to step i.  ``up_labels`` and
-    ``down_labels`` are the multisets of labels already carried by up and
-    down steps during the sweep; a non-peak down step takes the maximum or
-    minimum of their difference, which is nonempty for every valid UH-free
-    input.
+    ``labels[i]`` the label given to step i.
     """
 
     steps: str
     labels: list
-    up_labels: Counter = field(default_factory=Counter)
-    down_labels: Counter = field(default_factory=Counter)
 
     def trace(self) -> str:
         """Line-oriented dump: one "index step label" row per step."""
@@ -113,37 +107,35 @@ def _decode(p: LatticePath, pattern: str):
     steps = "UD" + p.steps
     n = len(steps)
     take_max = pattern == "12312"
-    peak_up = [
-        steps[i] == "U" and i + 1 < n and steps[i + 1] == "D" for i in range(n)
-    ]
-    state = DecoderState(steps, [0] * n)
-    labels = state.labels
+    labels = [0] * n
+    word = []
+    # Up-step labels are pushed in nondecreasing order, so the unmatched ones
+    # (the up-step multiset minus the down-step multiset) form a sorted deque:
+    # its maximum is the back and its minimum the front.
+    free = deque()
     seen_peaks = 0
     for i, s in enumerate(steps):
-        if s == "U" and peak_up[i]:
-            seen_peaks += 1
+        if s == "U":
+            if i + 1 < n and steps[i + 1] == "D":
+                seen_peaks += 1
             labels[i] = seen_peaks
-        elif s in "UH":
+            free.append(seen_peaks)
+            continue
+        if s == "H":
             # the largest label to the left is the number of peaks passed
             labels[i] = seen_peaks
-    up, down = state.up_labels, state.down_labels
-    for i, s in enumerate(steps):
-        if s == "U":
-            up[labels[i]] += 1
-        elif s == "D":
-            if peak_up[i - 1]:
-                labels[i] = labels[i - 1]
-            else:
-                free = up - down
-                if not free:
-                    raise PreconditionError(
-                        "not a valid UH-free path: no unmatched up-step label "
-                        f"available at step {i}"
-                    )
-                labels[i] = max(free) if take_max else min(free)
-            down[labels[i]] += 1
-    word = tuple(labels[i] for i in range(n) if steps[i] in "DH")
-    return SetPartition(word), state
+        elif steps[i - 1] == "U":
+            # a peak down step copies its peak's label, the last one pushed
+            labels[i] = free.pop()
+        elif not free:
+            raise PreconditionError(
+                "not a valid UH-free path: no unmatched up-step label "
+                f"available at step {i}"
+            )
+        else:
+            labels[i] = free.pop() if take_max else free.popleft()
+        word.append(labels[i])
+    return SetPartition(word), DecoderState(steps, labels)
 
 
 def decode(p: LatticePath, pattern: str = "12312") -> SetPartition:
@@ -157,6 +149,10 @@ def decode(p: LatticePath, pattern: str = "12312") -> SetPartition:
     labels to its left, multiplicities respected.  The labels of the down and
     horizontal steps, read left to right, spell the partition.  The empty
     path decodes to the one-element partition.
+
+    One left-to-right pass, linear in the path length: up-step labels arrive
+    in nondecreasing order, so the unmatched labels are kept in a deque whose
+    back is the maximum and whose front is the minimum.
     """
     _require_pattern(pattern)
     _require_uh_free(p, "decode")
@@ -171,68 +167,82 @@ def decode_trace(p: LatticePath, pattern: str = "12312") -> str:
     return _decode(p, pattern)[1].trace()
 
 
-def _rewrite_forward(p: str) -> str:
-    if not p:
-        return ""
-    if p[0] == "H":
-        return "H" + _rewrite_forward(p[1:])
-    if p[1] == "D":
-        return "UD" + _rewrite_forward(p[2:])
-    k = 0
-    while p[k] == "U":
-        k += 1
-    # UH-free, so the run of k >= 2 up steps is followed by a down step;
-    # split the rest at its first passages below each height k-1 ... 1.
-    i = k + 1
-    factors = []
-    for base in range(k - 1, 0, -1):
-        start = i
-        h = base
-        while True:
-            h += 1 if p[i] == "U" else (-1 if p[i] == "D" else 0)
-            if h == base - 1:
-                break
+def _rewrite_forward(steps: str) -> str:
+    out = []
+    # factors still to close in each open U^k D group, innermost last
+    open_factors = []
+    i, n = 0, len(steps)
+    while i < n:
+        s = steps[i]
+        if s == "H":
+            out.append("H")
             i += 1
-        factors.append(p[start:i])
-        i += 1
-    tail = p[i:]
-    out = ["U"]
-    for q in factors:
-        out.append("H" if not q else "U" + _rewrite_forward(q) + "D")
-    out.append("D")
-    out.append(_rewrite_forward(tail))
+            continue
+        if s == "U":
+            if steps[i + 1] == "D":
+                out.append("UD")
+                i += 2
+                continue
+            # UH-free, so the run of k >= 2 up steps is followed by a down
+            # step; P1 ... P(k-1) follow, each closed by its own down step.
+            k = 2
+            while steps[i + k] == "U":
+                k += 1
+            out.append("U")
+            i += k + 1
+            left = k - 1
+        else:
+            # the down step closing the innermost nonempty factor Pi
+            out.append("D")
+            i += 1
+            left = open_factors.pop() - 1
+        # an empty factor is its closing down step alone and becomes H
+        while left and steps[i] == "D":
+            out.append("H")
+            i += 1
+            left -= 1
+        if left:
+            out.append("U")
+            open_factors.append(left)
+        else:
+            out.append("D")  # every factor is closed: so is the group
     return "".join(out)
 
 
-def _rewrite_backward(p: str) -> str:
-    if not p:
-        return ""
-    if p[0] == "H":
-        return "H" + _rewrite_backward(p[1:])
-    if p[1] == "D":
-        return "UD" + _rewrite_backward(p[2:])
-    # p = U B1 ... B_{k-1} D S with each B either H or a U...D bracket at
-    # height one; rebuild the ascent U^k D and the bracketed pieces.
-    factors = []
-    i = 1
-    while p[i] != "D":
-        if p[i] == "H":
-            factors.append("H")
+def _rewrite_backward(steps: str) -> str:
+    out = []
+    # innermost last: [index of the group's ascent in out, factors read] for
+    # a group U B1 ... B(k-1) D whose factors are being read, None for the
+    # interior of a bracket factor U...D
+    frames = []
+    i, n = 0, len(steps)
+    while i < n:
+        s = steps[i]
+        i += 1
+        top = frames[-1] if frames else None
+        if top is not None:
+            if s == "D":
+                # the group ends: its ascent is U^k D, k = factors + 1
+                out[top[0]] = "U" * (top[1] + 1) + "D"
+                frames.pop()
+            else:
+                top[1] += 1
+                if s == "H":
+                    out.append("D")  # an H factor leaves its down step alone
+                else:
+                    frames.append(None)
+        elif s == "H":
+            out.append("H")
+        elif s == "D":
+            # closes a bracket interior, which ends its factor
+            frames.pop()
+            out.append("D")
+        elif steps[i] == "D":
+            out.append("UD")
             i += 1
         else:
-            start = i
-            h = 2
-            i += 1
-            while h > 1:
-                h += 1 if p[i] == "U" else (-1 if p[i] == "D" else 0)
-                i += 1
-            factors.append(p[start:i])
-    tail = p[i + 1 :]
-    out = ["U" * (len(factors) + 1), "D"]
-    for q in factors:
-        out.append("" if q == "H" else _rewrite_backward(q[1:-1]))
-        out.append("D")
-    out.append(_rewrite_backward(tail))
+            frames.append([len(out), 0])
+            out.append("")
     return "".join(out)
 
 
@@ -240,11 +250,16 @@ def to_odd_peaks(p: LatticePath) -> LatticePath:
     """Rewrite a UH-free path into a path of equal semilength whose peaks all
     sit at odd levels.
 
-    Recursive rules: a leading H or UD factor is kept as is; otherwise the
-    path starts with k >= 2 up steps and decomposes along the first descents
-    below each height as U^k D P1 D P2 ... D Pk, which becomes
-    U P1' ... P(k-1)' D followed by the rewrite of Pk, where Pi' is H when Pi
-    is empty and the rewrite of Pi wrapped in U...D otherwise.
+    Rules: a leading H or UD factor is kept as is; otherwise the path starts
+    with k >= 2 up steps and decomposes along the first descents below each
+    height as U^k D P1 D P2 ... D Pk, which becomes U P1' ... P(k-1)' D
+    followed by the rewrite of Pk, where Pi' is H when Pi is empty and the
+    rewrite of Pi wrapped in U...D otherwise.
+
+    One left-to-right pass, linear time, no recursion: each factor Pi ends
+    at the first down step that leaves its base height, so a stack holding
+    the number of factors still open in each enclosing group says what every
+    step becomes as it is read.
     """
     _require_uh_free(p, "to_odd_peaks")
     return LatticePath(_rewrite_forward(p.steps))
@@ -256,7 +271,9 @@ def to_uh_free(p: LatticePath) -> LatticePath:
     Case analysis on the first steps: leading H and UD factors peel off;
     otherwise the stretch between the initial up step and its matching
     return consists of factors that are each H or bracketed U...D, and these
-    rebuild the initial ascent and the subordinate paths.
+    rebuild the initial ascent and the subordinate paths.  One left-to-right
+    pass with an explicit stack, linear time: the ascent U^k D is written
+    into a reserved slot of the output once its group's factors are counted.
     """
     if not set(p.steps) <= set("UDH"):
         raise PreconditionError("to_uh_free expects a Schroder path over U/D/H")

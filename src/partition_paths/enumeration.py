@@ -7,7 +7,6 @@ floating point and no radical evaluation anywhere.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 
 def binomial(n: int, k: int) -> int:
@@ -54,16 +53,25 @@ def count_uhfree_with_peaks(n: int, k: int) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
 def large_schroder(n: int) -> int:
     """The number of Schroder paths of semilength n, by the first-step
     recurrence r(n) = r(n-1) + sum r(j) r(n-1-j) (leading H, or leading U
     with a first return splitting the remainder)."""
-    if n <= 0:
-        return 1
-    return large_schroder(n - 1) + sum(
-        large_schroder(j) * large_schroder(n - 1 - j) for j in range(n)
-    )
+    return _schroder_numbers(n)[-1]
+
+
+def _schroder_numbers(order: int) -> list:
+    """r(0) .. r(order) by the first-step recurrence, filled bottom-up; the
+    convolution is symmetric, so each term needs only half its products:
+    O(order^2) multiplications in all."""
+    r = [1]
+    for m in range(1, order + 1):
+        half = m // 2
+        conv = 2 * sum(r[j] * r[m - 1 - j] for j in range(half))
+        if m % 2:
+            conv += r[half] * r[half]
+        r.append(r[m - 1] + conv)
+    return r
 
 
 def bell_numbers(order: int) -> list:
@@ -100,55 +108,24 @@ class SeriesTable:
         return self.coefficients[n]
 
 
-def _mul(a: list, b: list, order: int) -> list:
-    out = [0] * (order + 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j in range(order + 1 - i):
-                bj = b[j]
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
-def _shift(a: list, order: int) -> list:
-    """Multiply by x, truncated."""
-    return [0] + a[:order]
-
-
-def _sub(a: list, b: list) -> list:
-    return [x - y for x, y in zip(a, b)]
-
-
-def _add(a: list, b: list) -> list:
-    return [x + y for x, y in zip(a, b)]
-
-
 def series_f(order: int = 32) -> SeriesTable:
     """Coefficients of the series f counting UH-free Schroder paths by
     semilength, from the functional equation
 
-        f = 1 + 2xf + xf(f - 1 - xf).
+        f = 1 + 2xf + xf(f - 1 - xf),  that is  f = 1 + xf + xf^2 - x^2 f^2.
 
-    Computed by coefficientwise fixed-point iteration: substituting the
-    current truncation into the right-hand side fixes at least one further
-    coefficient per pass, so the truncated fixed point is reached after at
-    most order + 1 passes (the loop stops as soon as a pass is stationary).
+    Read coefficientwise this is f[n] = f[n-1] + (f^2)[n-1] - (f^2)[n-2],
+    and (f^2)[n-1] needs only f[0] .. f[n-1], so each coefficient follows
+    directly from the earlier ones: O(order^2) multiplications.
     """
     if order < 0:
         raise ValueError("truncation order must be non-negative")
-    one = [1] + [0] * order
-    cur = list(one)
-    for _ in range(order + 2):
-        inner = _sub(_sub(cur, one), _shift(cur, order))
-        rhs = _add(
-            _add(one, _shift([2 * c for c in cur], order)),
-            _shift(_mul(cur, inner, order), order),
-        )
-        if rhs == cur:
-            break
-        cur = rhs
-    return SeriesTable("f", tuple(cur))
+    f = [1]
+    sq = []  # sq[m] = (f^2)[m]
+    for n in range(1, order + 1):
+        sq.append(sum(f[i] * f[n - 1 - i] for i in range(n)))
+        f.append(f[n - 1] + sq[n - 1] - (sq[n - 2] if n >= 2 else 0))
+    return SeriesTable("f", tuple(f))
 
 
 def series_f_prime(order: int = 32) -> SeriesTable:
@@ -157,21 +134,17 @@ def series_f_prime(order: int = 32) -> SeriesTable:
 
         f' = 1 + xf' + xf'(f - 1 - xf)
 
-    with f taken from :func:`series_f`, iterated the same way."""
+    with f taken from :func:`series_f`.  With g = f - 1 - xf this reads
+    f'[n] = f'[n-1] + sum f'[i] g[n-1-i] over i < n, computed coefficient by
+    coefficient: O(order^2) multiplications."""
     if order < 0:
         raise ValueError("truncation order must be non-negative")
-    one = [1] + [0] * order
-    f = list(series_f(order).coefficients)
-    inner = _sub(_sub(f, one), _shift(f, order))
-    cur = list(one)
-    for _ in range(order + 2):
-        rhs = _add(
-            _add(one, _shift(cur, order)), _shift(_mul(cur, inner, order), order)
-        )
-        if rhs == cur:
-            break
-        cur = rhs
-    return SeriesTable("f_prime", tuple(cur))
+    f = series_f(order).coefficients
+    g = [f[n] - (f[n - 1] if n else 1) for n in range(order + 1)]
+    fp = [1]
+    for n in range(1, order + 1):
+        fp.append(fp[n - 1] + sum(fp[i] * g[n - 1 - i] for i in range(n)))
+    return SeriesTable("f_prime", tuple(fp))
 
 
 def series(identifier: str, order: int = 32) -> SeriesTable:
@@ -183,9 +156,7 @@ def series(identifier: str, order: int = 32) -> SeriesTable:
     if identifier == "f_prime":
         return series_f_prime(order)
     if identifier == "schroder":
-        return SeriesTable(
-            "schroder", tuple(large_schroder(n) for n in range(order + 1))
-        )
+        return SeriesTable("schroder", tuple(_schroder_numbers(order)))
     if identifier == "bell":
         return SeriesTable("bell", tuple(bell_numbers(order)))
     raise ValueError(f"unknown series {identifier!r}")

@@ -204,84 +204,92 @@ class Decomposition:
 
 def decompose(p: SetPartition) -> Decomposition:
     """Compute the unique left-to-right-maxima factorization of a nonempty
-    partition word."""
+    partition word.
+
+    One pass: a letter c is a late occurrence exactly when it lies below the
+    running maximum, because that maximum is at least c + 1 only after the
+    first occurrence of c + 1.
+    """
     word = p.word
     if not word:
         raise InvalidObjectError("cannot decompose the empty partition")
-    k = p.block_count
-    first = [0] * (k + 2)
-    seen = 0
+    first = []
+    late = [0] * p.block_count
+    mx = 0
     for i, c in enumerate(word):
-        if c > seen:
-            first[c] = i
-            seen = c
-    words = tuple(
-        tuple(word[first[i] + 1 : first[i + 1]] if i < k else word[first[i] + 1 :])
-        for i in range(1, k + 1)
-    )
-    late = tuple(
-        sum(1 for c in word[first[i + 1] + 1 :] if c == i) for i in range(1, k)
-    )
-    return Decomposition(k, tuple(first[1 : k + 1]), words, late)
+        if c > mx:
+            mx = c
+            first.append(i)
+        elif c < mx:
+            late[c - 1] += 1
+    ends = first[1:] + [len(word)]
+    words = tuple(word[a + 1 : b] for a, b in zip(first, ends))
+    return Decomposition(len(first), tuple(first), words, tuple(late[:-1]))
 
 
 def avoids_12312_fast(p: SetPartition) -> bool:
     """Decide 12312-avoidance without subsequence search.
 
     A word contains 12312 exactly when some block label c can see, after its
-    first occurrence, a letter a followed by a strictly larger letter b with
-    b still smaller than c (the first occurrences of a, b and c then complete
-    the occurrence).  So the word avoids 12312 exactly when, for every label
-    c, the letters smaller than c that follow the first occurrence of c are
-    weakly decreasing.  In terms of the factorization this scans, for each c,
-    the letters below c inside w_c w_{c+1} ... w_k.
+    first occurrence, a letter x followed by a strictly larger letter y with
+    y still smaller than c (the first occurrences of x, y and c then complete
+    the occurrence).  The earliest label above y to appear is y + 1, so a
+    letter y at position j completes 12312 exactly when some letter x < y
+    lies strictly between the first y + 1 and j.
+
+    One left-to-right pass: a stack of positions whose letters strictly
+    increase gives, after popping the letters >= y, the nearest earlier
+    position holding a letter below y.
     """
-    if not p.word:
-        return True
-    dec = decompose(p)
-    k = dec.block_count
-    for c in range(3, k + 1):
-        prev = None
-        for i in range(c, k + 1):
-            for x in dec.words[i - 1]:
-                if x < c:
-                    if prev is not None and x > prev:
-                        return False
-                    prev = x
+    word = p.word
+    first = []  # first[c] = position of the first occurrence of c + 1
+    below = []
+    for j, y in enumerate(word):
+        if y > len(first):
+            first.append(j)
+        while below and word[below[-1]] >= y:
+            below.pop()
+        if below and y < len(first) and below[-1] > first[y]:
+            return False
+        below.append(j)
     return True
 
 
 def avoids_12321_fast(p: SetPartition) -> bool:
     """Decide 12321-avoidance without subsequence search.
 
-    The word avoids 12321 exactly when deleting every letter i from its word
-    w_i of the factorization leaves a weakly increasing concatenation
-    (a descent a > b inside that concatenation always completes to an
-    occurrence a' b' c' b a with c' the label of the region holding a).
+    The word avoids 12321 exactly when its letters below the running maximum
+    are weakly increasing (these are the letters of the factorization words
+    w_i other than i itself; a descent a > b among them always completes to
+    an occurrence a' b' c' b a with c' the running maximum at a).  One pass.
     """
-    if not p.word:
-        return True
-    dec = decompose(p)
-    prev = None
-    for i, w in enumerate(dec.words, start=1):
-        for x in w:
-            if x != i:
-                if prev is not None and x < prev:
-                    return False
-                prev = x
+    mx = prev = 0
+    for c in p.word:
+        if c > mx:
+            mx = c
+        elif c < mx:
+            if c < prev:
+                return False
+            prev = c
     return True
 
 
 def is_irreducible(p: SetPartition) -> bool:
     """True if no m in [n-1] splits the partition into a partition of [m]
-    and a partition of {m+1, ..., n}."""
+    and a partition of {m+1, ..., n}.
+
+    One pass: the word splits after position m exactly when every label of
+    the first m letters has its last occurrence among them.
+    """
     word = p.word
     if not word:
         raise InvalidObjectError("irreducibility is undefined for the empty partition")
-    left = set()
-    for m in range(1, len(word)):
-        left.add(word[m - 1])
-        if left.isdisjoint(word[m:]):
+    last = dict(zip(word, range(len(word))))
+    reach = 0
+    for m, c in enumerate(word[:-1], 1):
+        if last[c] > reach:
+            reach = last[c]
+        if reach < m:
             return False
     return True
 
@@ -290,14 +298,20 @@ def is_irreducible_char(p: SetPartition) -> bool:
     """Label-based irreducibility test: every block label i >= 2 must be
     followed, somewhere after its first occurrence, by a smaller letter.
 
+    One pass over a stack of the labels still waiting for a smaller letter;
+    they were opened in increasing order, so a letter settles the top ones.
     Agrees with :func:`is_irreducible` on every partition (checked
     exhaustively in the test suite).
     """
     word = p.word
     if not word:
         raise InvalidObjectError("irreducibility is undefined for the empty partition")
-    for i in range(2, p.block_count + 1):
-        fi = word.index(i)
-        if not any(c < i for c in word[fi + 1 :]):
-            return False
-    return True
+    waiting = []
+    mx = 1
+    for c in word:
+        while waiting and waiting[-1] > c:
+            waiting.pop()
+        if c > mx:
+            mx = c
+            waiting.append(c)
+    return not waiting

@@ -263,7 +263,9 @@ def _check_series_identity(max_n: int) -> Optional[str]:
     factor = [1] + [
         -(f[n - 1] - (f[n - 2] if n >= 2 else 0)) for n in range(1, order + 1)
     ]
-    product = enumeration._mul(fp, factor, order)
+    product = [
+        sum(fp[i] * factor[n - i] for i in range(n + 1)) for n in range(order + 1)
+    ]
     if product != [1] + [0] * order:
         return f"f' * (1 - x(1-x)f) is not 1 up to order {order}: {product}"
     return None

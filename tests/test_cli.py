@@ -38,6 +38,13 @@ class TestMap:
         code, out, _ = run(capsys, "map", "psi", "forward", "UUUDDHUDDUD")
         assert out == "UHUHUDDDUD\n"
 
+    def test_psi_on_long_paths(self, capsys):
+        # both directions run without recursion on 3000-step families
+        code, out, err = run(capsys, "map", "psi", "forward", "H" * 3000)
+        assert (code, out, err) == (0, "H" * 3000 + "\n", "")
+        code, out, err = run(capsys, "map", "psi", "inverse", "UD" * 3000)
+        assert (code, out, err) == (0, "UD" * 3000 + "\n", "")
+
     def test_full_maps(self, capsys):
         code, out, _ = run(capsys, "map", "full12312", "forward", "1,2")
         assert out == "UD\n"

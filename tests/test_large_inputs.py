@@ -1,0 +1,85 @@
+"""Worst-case families at semilength 10^5: every map and fast predicate must
+answer without recursing, and the round trips must hold.  No timing is
+asserted; a quadratic or recursive body shows up as a hang or a
+RecursionError here."""
+
+import pytest
+
+from partition_paths import (
+    LatticePath,
+    SetPartition,
+    avoids_12312_fast,
+    avoids_12321_fast,
+    decode,
+    encode,
+    large_schroder,
+    parse_path,
+    to_odd_peaks,
+    to_uh_free,
+)
+
+N = 10**5
+
+UH_FREE_FAMILIES = {
+    "H^n": "H" * N,
+    "(UD)^n": "UD" * N,
+    "(UUD)^(n/2) D^(n/2)": "UUD" * (N // 2) + "D" * (N // 2),
+}
+
+
+def staircase(size):
+    """1 2 ... m 1 ... 1 with m = size / 2: avoids both patterns."""
+    m = size // 2
+    return list(range(1, m + 1)) + [1] * (size - m)
+
+
+@pytest.mark.parametrize("family", sorted(UH_FREE_FAMILIES))
+@pytest.mark.parametrize("pattern", ["12312", "12321"])
+def test_decode_encode_roundtrip(family, pattern):
+    q = LatticePath(UH_FREE_FAMILIES[family])
+    p = decode(q, pattern)
+    assert len(p) == N + 1
+    assert encode(p, pattern) == q
+
+
+def test_decode_known_answers():
+    assert decode(LatticePath("H" * N)).word == (1,) * (N + 1)
+    assert decode(LatticePath("UD" * N), "12321").word == tuple(range(1, N + 2))
+
+
+@pytest.mark.parametrize("family", sorted(UH_FREE_FAMILIES))
+def test_odd_peak_rewrite_roundtrip(family):
+    q = LatticePath(UH_FREE_FAMILIES[family])
+    r = to_odd_peaks(q)
+    assert r.semilength == N
+    parse_path(r.steps, "no_even_peak")
+    assert to_uh_free(r) == q
+
+
+@pytest.mark.parametrize("pattern", ["12312", "12321"])
+def test_staircase_encode_decode(pattern):
+    p = SetPartition(staircase(N + 1))
+    q = encode(p, pattern)
+    assert q.semilength == N
+    assert decode(q, pattern) == p
+
+
+def test_fast_predicates_on_staircases():
+    p = SetPartition(staircase(N + 1))
+    assert avoids_12312_fast(p) and avoids_12321_fast(p)
+    # a final 2 after the ones completes 12312 but keeps 12321 avoided
+    p = SetPartition(staircase(N) + [2])
+    assert not avoids_12312_fast(p) and avoids_12321_fast(p)
+    # a 2 before the ones completes 12321 but keeps 12312 avoided
+    m = N // 2
+    p = SetPartition(list(range(1, m + 1)) + [2] + [1] * (N - m))
+    assert avoids_12312_fast(p) and not avoids_12321_fast(p)
+
+
+def test_large_schroder_matches_three_term_recurrence():
+    # (k+1) r(k) = 3(2k-1) r(k-1) - (k-2) r(k-2), independent of the
+    # first-step recurrence that large_schroder evaluates
+    r = [1, 2]
+    for k in range(2, 2001):
+        r.append((3 * (2 * k - 1) * r[k - 1] - (k - 2) * r[k - 2]) // (k + 1))
+    assert large_schroder(2000) == r[2000]

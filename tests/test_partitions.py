@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from partition_paths import (
@@ -125,10 +127,26 @@ class TestFastPredicates:
         assert avoids(p, P12312)
 
     def test_agree_with_oracle(self, partitions_of):
-        for n in range(8):
+        for n in range(10):
             for p in partitions_of(n):
                 assert avoids_12312_fast(p) == avoids(p, P12312), p
                 assert avoids_12321_fast(p) == avoids(p, P12321), p
+
+    def test_agree_with_oracle_on_random_words(self):
+        rng = random.Random(20080515)
+        seen = set()
+        for _ in range(600):
+            word = [1]
+            blocks = rng.randint(2, 6)
+            for _ in range(rng.randint(11, 15)):
+                top = min(max(word) + 1, blocks)
+                word.append(rng.randint(1, top))
+            p = SetPartition(word)
+            for fast, pattern in ((avoids_12312_fast, P12312), (avoids_12321_fast, P12321)):
+                want = avoids(p, pattern)
+                assert fast(p) == want, (p, pattern)
+                seen.add((pattern, want))
+        assert len(seen) == 4  # both answers occur for both patterns
 
     def test_empty_partition(self):
         p = SetPartition()
@@ -174,6 +192,13 @@ class TestIrreducible:
         assert is_irreducible(SetPartition((1, 1)))
         assert not is_irreducible(SetPartition((1, 2)))
         assert is_irreducible(SetPartition((1, 2, 1)))
+
+    def test_matches_the_definition(self, partitions_of):
+        for n in range(1, 9):
+            for p in partitions_of(n):
+                w = p.word
+                splits = any(set(w[:m]).isdisjoint(w[m:]) for m in range(1, n))
+                assert is_irreducible(p) == (not splits), p
 
     def test_definitions_agree(self, partitions_of):
         for n in range(1, 8):
