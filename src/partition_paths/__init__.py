@@ -18,7 +18,6 @@ from .enumeration import (
     bell_numbers,
     binomial,
     count_blocks,
-    count_uhfree_with_peaks,
     large_schroder,
     narayana,
     series,

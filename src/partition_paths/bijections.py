@@ -16,37 +16,29 @@ class onto the paths without peaks at even level.
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Callable
 
-from .errors import PreconditionError
-from .partitions import (
-    SetPartition,
-    avoids_12312_fast,
-    avoids_12321_fast,
-    decompose,
-    find_pattern,
-)
-from .paths import LatticePath, peaks
+from .errors import InvalidObjectError, PreconditionError
+from .partitions import FAST_PATTERNS, SetPartition, decompose, find_pattern
+from .paths import LatticePath, check_path
 
-PATTERNS = ("12312", "12321")
-
-_PATTERN_WORDS = {
-    "12312": SetPartition((1, 2, 3, 1, 2)),
-    "12321": SetPartition((1, 2, 3, 2, 1)),
-}
-_FAST_CHECK = {"12312": avoids_12312_fast, "12321": avoids_12321_fast}
+PATTERNS = tuple(FAST_PATTERNS)
 
 
 def _require_pattern(pattern: str) -> None:
-    if pattern not in PATTERNS:
-        raise PreconditionError(f"unsupported pattern {pattern!r}, expected 12312 or 12321")
+    if pattern not in FAST_PATTERNS:
+        raise PreconditionError(
+            f"unsupported pattern {pattern!r}, expected {' or '.join(PATTERNS)}"
+        )
 
 
 def _require_avoids(p: SetPartition, pattern: str) -> None:
     _require_pattern(pattern)
     if len(p) == 0:
         raise PreconditionError("the empty partition is outside the bijection domain")
-    if not _FAST_CHECK[pattern](p):
-        witness = find_pattern(p, _PATTERN_WORDS[pattern])
+    word, avoids_fast = FAST_PATTERNS[pattern]
+    if not avoids_fast(p):
+        witness = find_pattern(p, word)
         positions = ",".join(str(i + 1) for i in witness)
         raise PreconditionError(
             f"partition contains pattern {pattern} at positions {positions}",
@@ -54,14 +46,11 @@ def _require_avoids(p: SetPartition, pattern: str) -> None:
         )
 
 
-def _require_uh_free(p: LatticePath, who: str) -> None:
-    if not set(p.steps) <= set("UDH"):
-        raise PreconditionError(f"{who} expects a Schroder path over U/D/H")
-    if "UH" in p.steps:
-        raise PreconditionError(
-            f"{who} expects a UH-free path; up step followed by a horizontal "
-            f"step at position {p.steps.index('UH') + 1}"
-        )
+def _require_class(p: LatticePath, path_class: str, expectation: str) -> None:
+    try:
+        check_path(p, path_class)
+    except InvalidObjectError as exc:
+        raise PreconditionError(f"{expectation}; {exc}") from None
 
 
 def encode(p: SetPartition, pattern: str = "12312") -> LatticePath:
@@ -155,7 +144,7 @@ def decode(p: LatticePath, pattern: str = "12312") -> SetPartition:
     back is the maximum and whose front is the minimum.
     """
     _require_pattern(pattern)
-    _require_uh_free(p, "decode")
+    _require_class(p, "uh_free", "decode expects a UH-free path")
     return _decode(p, pattern)[0]
 
 
@@ -163,7 +152,7 @@ def decode_trace(p: LatticePath, pattern: str = "12312") -> str:
     """The step labeling used by :func:`decode`, as an "index step label"
     dump (debugging aid)."""
     _require_pattern(pattern)
-    _require_uh_free(p, "decode_trace")
+    _require_class(p, "uh_free", "decode_trace expects a UH-free path")
     return _decode(p, pattern)[1].trace()
 
 
@@ -261,7 +250,7 @@ def to_odd_peaks(p: LatticePath) -> LatticePath:
     the number of factors still open in each enclosing group says what every
     step becomes as it is read.
     """
-    _require_uh_free(p, "to_odd_peaks")
+    _require_class(p, "uh_free", "to_odd_peaks expects a UH-free path")
     return LatticePath(_rewrite_forward(p.steps))
 
 
@@ -275,14 +264,7 @@ def to_uh_free(p: LatticePath) -> LatticePath:
     pass with an explicit stack, linear time: the ascent U^k D is written
     into a reserved slot of the output once its group's factors are counted.
     """
-    if not set(p.steps) <= set("UDH"):
-        raise PreconditionError("to_uh_free expects a Schroder path over U/D/H")
-    for i, lvl in peaks(p):
-        if lvl % 2 == 0:
-            raise PreconditionError(
-                f"to_uh_free expects no peak at even level; found level {lvl} "
-                f"at position {i + 1}"
-            )
+    _require_class(p, "no_even_peak", "to_uh_free expects no peak at even level")
     return LatticePath(_rewrite_backward(p.steps))
 
 
@@ -295,3 +277,29 @@ def encode_to_odd_peaks(p: SetPartition, pattern: str = "12312") -> LatticePath:
 def decode_from_odd_peaks(p: LatticePath, pattern: str = "12312") -> SetPartition:
     """Inverse of :func:`encode_to_odd_peaks`."""
     return decode(to_uh_free(p), pattern)
+
+
+@dataclass(frozen=True)
+class Bijection:
+    """A named map: the kind of object its forward direction takes
+    ("partition" or "path"; every inverse takes a Schroder path), and both
+    directions."""
+
+    forward_input: str
+    forward: Callable
+    inverse: Callable
+
+
+def _pattern_map(forward: Callable, inverse: Callable, pattern: str) -> Bijection:
+    return Bijection(
+        "partition", lambda p: forward(p, pattern), lambda q: inverse(q, pattern)
+    )
+
+
+MAPS = {
+    "sigma": _pattern_map(encode, decode, "12312"),
+    "phi": _pattern_map(encode, decode, "12321"),
+    "psi": Bijection("path", to_odd_peaks, to_uh_free),
+    "full12312": _pattern_map(encode_to_odd_peaks, decode_from_odd_peaks, "12312"),
+    "full12321": _pattern_map(encode_to_odd_peaks, decode_from_odd_peaks, "12321"),
+}

@@ -2,7 +2,9 @@
 
 Output is line-oriented and byte-deterministic for a fixed invocation, so
 commands compose in shell pipelines.  Exit codes: 0 success, 1 invalid input
-object, 2 precondition violation, 3 verification failure, 64 usage error.
+object (or standard output closed by its reader), 2 precondition violation,
+3 verification failure, 64 usage error (including an --out path that cannot
+be written).
 """
 
 import argparse
@@ -56,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
         common(sp)
 
     sp = sub.add_parser("map", help="apply a bijection to each input object")
-    sp.add_argument("name", choices=("sigma", "phi", "psi", "full12312", "full12321"))
+    sp.add_argument("name", choices=tuple(bijections.MAPS))
     sp.add_argument(
         "objects",
         nargs="*",
@@ -110,67 +112,44 @@ def _input_objects(args) -> list:
     return sys.stdin.read().splitlines()
 
 
+_STEP_LETTERS = set("".join(r.alphabet for r in paths.CLASS_RULES.values()))
+_INFERRED = [(c, set(paths.CLASS_RULES[c].alphabet)) for c in ("schroder", "skew_dyck")]
+
+
 def _infer_path_class(text: str) -> str:
-    if "L" in text:
-        if "H" in text:
-            raise InvalidObjectError(
-                "path mixes horizontal and left steps; no class allows both"
-            )
-        return "skew_dyck"
-    return "schroder"
+    """schroder or skew_dyck, the first whose alphabet holds every step
+    letter of the text; other characters are left for parse_path to report."""
+    letters = set(text) & _STEP_LETTERS
+    for cls, alphabet in _INFERRED:
+        if letters <= alphabet:
+            return cls
+    raise InvalidObjectError(
+        "path mixes horizontal and left steps; no class allows both"
+    )
 
 
-_MAP_INPUT = {
-    ("sigma", "forward"): "partition",
-    ("phi", "forward"): "partition",
-    ("full12312", "forward"): "partition",
-    ("full12321", "forward"): "partition",
-    ("sigma", "inverse"): "schroder",
-    ("phi", "inverse"): "schroder",
-    ("psi", "forward"): "schroder",
-    ("psi", "inverse"): "schroder",
-    ("full12312", "inverse"): "schroder",
-    ("full12321", "inverse"): "schroder",
-}
-
-_MAP_FN = {
-    ("sigma", "forward"): lambda o: bijections.encode(o, "12312"),
-    ("sigma", "inverse"): lambda o: bijections.decode(o, "12312"),
-    ("phi", "forward"): lambda o: bijections.encode(o, "12321"),
-    ("phi", "inverse"): lambda o: bijections.decode(o, "12321"),
-    ("psi", "forward"): bijections.to_odd_peaks,
-    ("psi", "inverse"): bijections.to_uh_free,
-    ("full12312", "forward"): lambda o: bijections.encode_to_odd_peaks(o, "12312"),
-    ("full12312", "inverse"): lambda o: bijections.decode_from_odd_peaks(o, "12312"),
-    ("full12321", "forward"): lambda o: bijections.encode_to_odd_peaks(o, "12321"),
-    ("full12321", "inverse"): lambda o: bijections.decode_from_odd_peaks(o, "12321"),
-}
-
-
-def _iter_partitions(args):
+def _selected(args):
+    """The objects a list or count command selects, lazily."""
+    if args.kind == "paths":
+        return paths.generate_paths(
+            args.n, args.path_class or "schroder", limit=_limit(args)
+        )
     gen = partitions.generate_partitions(args.n, limit=_limit(args))
     if args.pattern is None:
-        yield from gen
-        return
-    if args.pattern == "12312":
-        keep = partitions.avoids_12312_fast
-    elif args.pattern == "12321":
-        keep = partitions.avoids_12321_fast
+        return gen
+    if args.pattern in partitions.FAST_PATTERNS:
+        keep = partitions.FAST_PATTERNS[args.pattern].avoids_fast
     else:
         pattern = partitions.parse_partition(args.pattern)
+
         def keep(p):
             return partitions.avoids(p, pattern)
-    yield from (p for p in gen if keep(p))
+
+    return filter(keep, gen)
 
 
 def _run_list(args, out) -> int:
-    if args.kind == "partitions":
-        objects = _iter_partitions(args)
-    else:
-        objects = paths.generate_paths(
-            args.n, args.path_class or "schroder", limit=_limit(args)
-        )
-    for obj in objects:
+    for obj in _selected(args):
         text = str(obj)
         out.write(json.dumps(text) if args.format == "json" else text)
         out.write("\n")
@@ -178,34 +157,22 @@ def _run_list(args, out) -> int:
 
 
 def _run_count(args, out) -> int:
-    if args.kind == "partitions":
-        total = sum(1 for _ in _iter_partitions(args))
-    else:
-        total = sum(
-            1
-            for _ in paths.generate_paths(
-                args.n, args.path_class or "schroder", limit=_limit(args)
-            )
-        )
-    out.write(f"{total}\n")
+    out.write(f"{sum(1 for _ in _selected(args))}\n")
     return 0
 
 
 def _run_map(args, out) -> int:
-    objects = list(args.objects)
     direction = args.direction
-    if objects and objects[0] in ("forward", "inverse"):
-        direction = objects.pop(0)
-    if not objects:
-        objects = sys.stdin.read().splitlines()
-    key = (args.name, direction)
-    fn = _MAP_FN[key]
-    for text in objects:
-        if _MAP_INPUT[key] == "partition":
-            obj = partitions.parse_partition(text)
-        else:
-            obj = paths.parse_path(text, "schroder")
-        result = str(fn(obj))
+    if args.objects and args.objects[0] in ("forward", "inverse"):
+        direction = args.objects.pop(0)
+    bijection = bijections.MAPS[args.name]
+    if direction == "forward":
+        fn, takes = bijection.forward, bijection.forward_input
+    else:
+        fn, takes = bijection.inverse, "path"
+    parse = partitions.parse_partition if takes == "partition" else paths.parse_path
+    for text in _input_objects(args):
+        result = str(fn(parse(text)))
         out.write(json.dumps(result) if args.format == "json" else result)
         out.write("\n")
     return 0
@@ -229,7 +196,11 @@ def _run_check(args, out) -> int:
             flags = paths.classify(p)
             record = {
                 "object": str(p),
-                "family": "dyck" if set(p.steps) <= set("UD") else cls,
+                "family": (
+                    "dyck"
+                    if set(p.steps) <= set(paths.CLASS_RULES["dyck"].alphabet)
+                    else cls
+                ),
                 "semilength": p.semilength,
                 "peaks": len(paths.peaks(p)),
                 "uh_free": flags.uh_free,
@@ -327,12 +298,30 @@ def main(argv=None) -> int:
             parser.error("--class applies only to paths")
     if args.command == "series" and args.order < 0:
         parser.error("--order must be non-negative")
+    if args.command == "verify" and args.max_n < 0:
+        parser.error("--max-n must be non-negative")
     runner = _RUNNERS[args.command]
     try:
         if args.out:
-            with open(args.out, "w") as out:
+            try:
+                out = open(args.out, "w")
+            except OSError as exc:
+                print(
+                    f"partition-paths: cannot write {args.out}: {exc.strerror}",
+                    file=sys.stderr,
+                )
+                return USAGE_ERROR
+            with out:
                 return runner(args, out)
-        return runner(args, sys.stdout)
+        code = runner(args, sys.stdout)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (as `| head` does).  Point stdout at
+        # devnull so that the interpreter's final flush cannot fail again,
+        # and exit 1 quietly, as the Python docs on SIGPIPE recommend.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except LimitExceededError as exc:
         print(f"partition-paths: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -41,36 +41,20 @@ def count_blocks(n: int, k: int) -> int:
     return sum(narayana(j, k) * binomial(n, j) for j in range(k, n + 1))
 
 
-def count_uhfree_with_peaks(n: int, k: int) -> int:
-    """The number of UH-free Schroder paths of semilength n with k peaks:
-    sum over j of narayana(j, k) * C(n, j) for k >= 1, and 1 for k = 0
-    (the all-horizontal path)."""
-    if k == 0:
-        return 1
-    total = 0
-    for j in range(k, n + 1):
-        total += narayana(j, k) * binomial(n, j)
-    return total
-
-
 def large_schroder(n: int) -> int:
-    """The number of Schroder paths of semilength n, by the first-step
-    recurrence r(n) = r(n-1) + sum r(j) r(n-1-j) (leading H, or leading U
-    with a first return splitting the remainder)."""
-    return _schroder_numbers(n)[-1]
+    """The number of Schroder paths of semilength n."""
+    return _schroder_terms(n)[-1]
 
 
-def _schroder_numbers(order: int) -> list:
-    """r(0) .. r(order) by the first-step recurrence, filled bottom-up; the
-    convolution is symmetric, so each term needs only half its products:
-    O(order^2) multiplications in all."""
+def _schroder_terms(order: int) -> list:
+    """r(0) .. r(order) by the three-term recurrence
+    (k+1) r(k) = 3(2k-1) r(k-1) - (k-2) r(k-2) from r(0) = 1, r(1) = 2:
+    O(order) big-integer operations, each division exact."""
     r = [1]
-    for m in range(1, order + 1):
-        half = m // 2
-        conv = 2 * sum(r[j] * r[m - 1 - j] for j in range(half))
-        if m % 2:
-            conv += r[half] * r[half]
-        r.append(r[m - 1] + conv)
+    for k in range(1, order + 1):
+        r.append(
+            (3 * (2 * k - 1) * r[k - 1] - (k - 2) * r[k - 2]) // (k + 1) if k > 1 else 2
+        )
     return r
 
 
@@ -156,7 +140,7 @@ def series(identifier: str, order: int = 32) -> SeriesTable:
     if identifier == "f_prime":
         return series_f_prime(order)
     if identifier == "schroder":
-        return SeriesTable("schroder", tuple(_schroder_numbers(order)))
+        return SeriesTable("schroder", tuple(_schroder_terms(order)))
     if identifier == "bell":
         return SeriesTable("bell", tuple(bell_numbers(order)))
     raise ValueError(f"unknown series {identifier!r}")

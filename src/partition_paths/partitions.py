@@ -7,7 +7,7 @@ and every letter exceeds the maximum of the letters before it by at most one.
 """
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .errors import DEFAULT_LIMIT, InvalidObjectError, LimitExceededError
 
@@ -272,6 +272,18 @@ def avoids_12321_fast(p: SetPartition) -> bool:
                 return False
             prev = c
     return True
+
+
+class Pattern(NamedTuple):
+    word: SetPartition
+    avoids_fast: Callable[[SetPartition], bool]
+
+
+# The patterns of the bijections, each with its linear-time avoidance test.
+FAST_PATTERNS = {
+    "12312": Pattern(SetPartition((1, 2, 3, 1, 2)), avoids_12312_fast),
+    "12321": Pattern(SetPartition((1, 2, 3, 2, 1)), avoids_12321_fast),
+}
 
 
 def is_irreducible(p: SetPartition) -> bool:

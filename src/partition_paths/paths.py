@@ -6,40 +6,70 @@ Generation order is lexicographic by step string under U < D < H < L.
 """
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator, Optional
 
 from .errors import DEFAULT_LIMIT, InvalidObjectError, LimitExceededError
 
 _RISE = {"U": 1, "D": -1, "H": 0, "L": -1}
 _RUN = {"U": 1, "D": 1, "H": 2, "L": -1}
+_HALF_UNITS = {"U": 1, "D": 1, "H": 2, "L": 1}  # twice the semilength a step adds
 
-PATH_CLASSES = (
-    "schroder",
-    "uh_free",
-    "no_even_peak",
-    "uh_free_no_level_one",
-    "dyck",
-    "skew_dyck",
-    "skew_dyck_end_down",
-)
 
-_ALPHABET = {
-    "schroder": "UDH",
-    "uh_free": "UDH",
-    "no_even_peak": "UDH",
-    "uh_free_no_level_one": "UDH",
-    "dyck": "UD",
-    "skew_dyck": "UDL",
-    "skew_dyck_end_down": "UDL",
+@dataclass(frozen=True)
+class ClassRules:
+    """The step-local rules that define a path class.
+
+    ``alphabet`` lists the allowed steps in generation order; ``forbidden``
+    lists two-step factors that may not occur; a peak at level h is allowed
+    exactly when ``peak_ok(h)`` holds, and ``peak_rule`` names the failure;
+    ``end_down`` asks a nonempty path to end with a down step.
+    """
+
+    alphabet: str
+    forbidden: tuple = ()
+    peak_ok: Optional[Callable[[int], bool]] = None
+    peak_rule: str = ""
+    end_down: bool = False
+
+
+# The reason each forbidden factor reports.  UL and LU state the skew rule
+# that up and left steps never trace the same unit segment.  An adjacent UL
+# or LU retraces one.  A retrace by steps i and j > i + 1 makes steps
+# i+1 .. j-1 a closed loop; on a skew path x - y is twice the number of D
+# steps so far, so the loop has no D, as many U as L steps, and hence an
+# adjacent UL or LU that ends before step j.  The rule's other half,
+# x >= 0, follows from x >= y >= 0.
+_FACTOR_REASONS = {
+    "UH": "up step immediately followed by a horizontal step at position {first}",
+    "UL": "left step retraces an up-step segment at position {second}",
+    "LU": "up step retraces a left-step segment at position {second}",
 }
+_SKEW = ("UL", "LU")
+
+CLASS_RULES = {
+    "schroder": ClassRules("UDH"),
+    "uh_free": ClassRules("UDH", ("UH",)),
+    "no_even_peak": ClassRules(
+        "UDH", peak_ok=lambda h: h % 2 == 1, peak_rule="peak at even level {level}"
+    ),
+    "uh_free_no_level_one": ClassRules(
+        "UDH", ("UH",), peak_ok=lambda h: h != 1, peak_rule="peak at level one"
+    ),
+    "dyck": ClassRules("UD"),
+    "skew_dyck": ClassRules("UDL", _SKEW),
+    "skew_dyck_end_down": ClassRules("UDL", _SKEW, end_down=True),
+}
+
+PATH_CLASSES = tuple(CLASS_RULES)
 
 
 class LatticePath:
     """An immutable step sequence with nonnegative prefix heights.
 
-    The constructor checks only the height profile and the alphabet; which
-    classes a path belongs to (Dyck, UH-free, skew geometry, ...) is decided
-    by :func:`parse_path`, :func:`classify` and the generators.
+    The constructor checks only the height profile and the step letters;
+    the rules of each class (Dyck, UH-free, skew, ...) are stated once in
+    :data:`CLASS_RULES`, which :func:`parse_path`, :func:`check_path`,
+    :func:`classify` and :func:`generate_paths` read.
     """
 
     __slots__ = ("steps",)
@@ -115,85 +145,87 @@ class PathFlags:
     ends_with_down: bool
 
 
+def _factor_error(steps: str, rules: ClassRules) -> Optional[str]:
+    hit = None  # the earliest forbidden factor, as (index, factor)
+    for f in rules.forbidden:
+        k = steps.find(f)
+        if k >= 0 and (hit is None or k < hit[0]):
+            hit = k, f
+    if hit is None:
+        return None
+    k, f = hit
+    return _FACTOR_REASONS[f].format(first=k + 1, second=k + 2)
+
+
+def _peak_error(p: LatticePath, rules: ClassRules) -> Optional[str]:
+    for i, level in peaks(p):
+        if not rules.peak_ok(level):
+            return f"{rules.peak_rule.format(level=level)} at position {i + 1}"
+    return None
+
+
+def _end_error(steps: str) -> Optional[str]:
+    if steps and steps[-1] != "D":
+        return "path does not end with a down step"
+    return None
+
+
 def classify(p: LatticePath) -> PathFlags:
-    """Compute the restriction flags of a path.
+    """Evaluate four rules of :data:`CLASS_RULES` on a path: no UH factor,
+    the peak rules of no_even_peak and uh_free_no_level_one, and ending with
+    a down step.
 
     The empty path satisfies every flag (it belongs to every class at
     semilength 0), including ends_with_down by convention.
     """
-    if not p.steps:
-        return PathFlags(True, True, True, True)
-    levels = [lvl for _, lvl in peaks(p)]
+    levels = [level for _, level in peaks(p)]
     return PathFlags(
-        uh_free="UH" not in p.steps,
-        no_even_peak=all(lvl % 2 == 1 for lvl in levels),
-        no_level_one_peak=all(lvl != 1 for lvl in levels),
-        ends_with_down=p.steps[-1] == "D",
+        uh_free=_factor_error(p.steps, CLASS_RULES["uh_free"]) is None,
+        no_even_peak=all(map(CLASS_RULES["no_even_peak"].peak_ok, levels)),
+        no_level_one_peak=all(map(CLASS_RULES["uh_free_no_level_one"].peak_ok, levels)),
+        ends_with_down=_end_error(p.steps) is None,
     )
 
 
-def _check_skew_geometry(steps: str) -> None:
-    # Left steps and up steps trace unit diagonal segments in the plane;
-    # the two families may never share a segment, and x stays nonnegative.
-    x = y = 0
-    up_segments = set()
-    left_segments = set()
-    for i, s in enumerate(steps, start=1):
-        if s == "U":
-            seg = (x, y)
-            if seg in left_segments:
-                raise InvalidObjectError(
-                    f"up step retraces a left-step segment at position {i}"
-                )
-            up_segments.add(seg)
-            x += 1
-            y += 1
-        elif s == "D":
-            x += 1
-            y -= 1
-        else:  # L
-            if x - 1 < 0:
-                raise InvalidObjectError(f"path crosses x = 0 at position {i}")
-            seg = (x - 1, y - 1)
-            if seg in up_segments:
-                raise InvalidObjectError(
-                    f"left step retraces an up-step segment at position {i}"
-                )
-            left_segments.add(seg)
-            x -= 1
-            y -= 1
+def _rules(path_class: str) -> ClassRules:
+    rules = CLASS_RULES.get(path_class)
+    if rules is None:
+        raise InvalidObjectError(f"unknown path class {path_class!r}")
+    return rules
+
+
+def _check_alphabet(steps: str, path_class: str, alphabet: str) -> None:
+    i = len(steps) - len(steps.lstrip(alphabet))  # first step outside the alphabet
+    if i < len(steps):
+        raise InvalidObjectError(
+            f"unknown step character {steps[i]!r} at position {i + 1} "
+            f"(class {path_class} uses {'/'.join(alphabet)})"
+        )
+
+
+def check_path(p: LatticePath, path_class: str) -> None:
+    """Raise :class:`InvalidObjectError` unless the path obeys every rule of
+    the class in :data:`CLASS_RULES`; the message names the first rule
+    broken and its position."""
+    rules = _rules(path_class)
+    steps = p.steps
+    _check_alphabet(steps, path_class, rules.alphabet)
+    error = (
+        (rules.forbidden and _factor_error(steps, rules))
+        or (rules.peak_ok and _peak_error(p, rules))
+        or (rules.end_down and _end_error(steps))
+    )
+    if error:
+        raise InvalidObjectError(error)
 
 
 def parse_path(text: str, path_class: str = "schroder") -> LatticePath:
     """Parse and validate a step string as a member of the given class."""
-    if path_class not in PATH_CLASSES:
-        raise InvalidObjectError(f"unknown path class {path_class!r}")
     text = text.strip()
-    alphabet = _ALPHABET[path_class]
-    for i, s in enumerate(text):
-        if s not in alphabet:
-            raise InvalidObjectError(
-                f"unknown step character {s!r} at position {i + 1} "
-                f"(class {path_class} uses {'/'.join(alphabet)})"
-            )
+    # a foreign letter is reported as such, before the heights are checked
+    _check_alphabet(text, path_class, _rules(path_class).alphabet)
     p = LatticePath(text)
-    if path_class in ("uh_free", "uh_free_no_level_one") and "UH" in text:
-        raise InvalidObjectError(
-            f"up step immediately followed by a horizontal step at position "
-            f"{text.index('UH') + 1}"
-        )
-    if path_class == "no_even_peak":
-        for i, lvl in peaks(p):
-            if lvl % 2 == 0:
-                raise InvalidObjectError(f"peak at even level {lvl} at position {i + 1}")
-    if path_class == "uh_free_no_level_one":
-        for i, lvl in peaks(p):
-            if lvl == 1:
-                raise InvalidObjectError(f"peak at level one at position {i + 1}")
-    if path_class in ("skew_dyck", "skew_dyck_end_down"):
-        _check_skew_geometry(text)
-    if path_class == "skew_dyck_end_down" and text and not text.endswith("D"):
-        raise InvalidObjectError("path does not end with a down step")
+    check_path(p, path_class)
     return p
 
 
@@ -203,75 +235,42 @@ def generate_paths(
     """Yield every path of semilength n in the class exactly once, in
     lexicographic order of the step string under U < D < H < L.
 
-    Depth-first search over step choices with height, budget and (for the
-    skew classes) segment-overlap pruning.
+    Depth-first search over step choices, pruned by height and budget.  The
+    class rules are bound once: the forbidden factors become the steps that
+    may follow each step, and the peak rule the levels at which U may not be
+    followed by D.
     """
-    if path_class not in PATH_CLASSES:
-        raise InvalidObjectError(f"unknown path class {path_class!r}")
+    rules = _rules(path_class)
     if n < 0:
         raise InvalidObjectError("semilength must be non-negative")
     if n > limit:
         raise LimitExceededError(f"n={n} exceeds the exhaustive limit {limit}")
 
-    alphabet = _ALPHABET[path_class]
-    uh_free = path_class in ("uh_free", "uh_free_no_level_one")
-    no_even = path_class == "no_even_peak"
-    no_level_one = path_class == "uh_free_no_level_one"
-    skew = path_class in ("skew_dyck", "skew_dyck_end_down")
-    end_down = path_class == "skew_dyck_end_down"
+    follow = {
+        prev: [
+            (s, _RISE[s], _HALF_UNITS[s])
+            for s in rules.alphabet
+            if prev + s not in rules.forbidden
+        ]
+        for prev in ("", *rules.alphabet)
+    }
+    bad_peaks = {h for h in range(1, n + 1) if rules.peak_ok and not rules.peak_ok(h)}
+    end_down = rules.end_down
     steps = []
-    up_segments = set()
-    left_segments = set()
 
-    def rec(remaining: int, x: int, y: int) -> Iterator[LatticePath]:
+    def rec(remaining: int, y: int, prev: str) -> Iterator[LatticePath]:
         if remaining == 0:
-            if end_down and steps and steps[-1] != "D":
-                return
-            yield LatticePath("".join(steps))
+            if not (end_down and prev and prev != "D"):
+                yield LatticePath("".join(steps))
             return
-        for s in alphabet:
-            if s == "U":
-                if y + 1 > remaining - 1:
-                    continue
-                if skew:
-                    seg = (x, y)
-                    if seg in left_segments:
-                        continue
-                    up_segments.add(seg)
-                steps.append("U")
-                yield from rec(remaining - 1, x + 1, y + 1)
-                steps.pop()
-                if skew:
-                    up_segments.discard(seg)
-            elif s == "D":
-                if y < 1:
-                    continue
-                if steps and steps[-1] == "U":
-                    if no_even and y % 2 == 0:
-                        continue
-                    if no_level_one and y == 1:
-                        continue
-                steps.append("D")
-                yield from rec(remaining - 1, x + 1, y - 1)
-                steps.pop()
-            elif s == "H":
-                if remaining < 2 or y > remaining - 2:
-                    continue
-                if uh_free and steps and steps[-1] == "U":
-                    continue
-                steps.append("H")
-                yield from rec(remaining - 2, x + 2, y)
-                steps.pop()
-            else:  # L
-                if y < 1 or x < 1:
-                    continue
-                seg = (x - 1, y - 1)
-                if seg in up_segments:
-                    continue
-                left_segments.add(seg)
-                steps.append("L")
-                yield from rec(remaining - 1, x - 1, y - 1)
-                steps.pop()
-                left_segments.discard(seg)
+        for s, rise, units in follow[prev]:
+            h = y + rise
+            if h < 0 or h > remaining - units:
+                continue
+            if s == "D" and prev == "U" and y in bad_peaks:
+                continue
+            steps.append(s)
+            yield from rec(remaining - units, h, s)
+            steps.pop()
 
-    yield from rec(2 * n, 0, 0)
+    yield from rec(2 * n, 0, "")

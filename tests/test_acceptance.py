@@ -17,7 +17,6 @@ from inspect import getsource
 from partition_paths import (
     SetPartition,
     count_blocks,
-    count_uhfree_with_peaks,
     decode,
     encode,
     enumeration,
@@ -121,7 +120,6 @@ def test_criterion_4_refined_counts(avoiders_of, paths_of):
         }
         for k in range(n + 2):
             want = count_blocks(n, k)
-            assert want == count_uhfree_with_peaks(n, k), (n, k)
             assert want == peak_census.get(k, 0), (n, k)
             for pattern in PATTERNS:
                 assert want == block_census[pattern].get(k, 0), (pattern, n, k)
@@ -201,7 +199,6 @@ def test_criterion_8_verify_command_and_exact_arithmetic():
     assert not any(t.type == tokenize.NAME and t.string == "float" for t in tokens)
     for value in (
         count_blocks(12, 5),
-        count_uhfree_with_peaks(12, 5),
         series_f(12).coefficients[12],
         series_f_prime(12).coefficients[12],
         enumeration.large_schroder(12),

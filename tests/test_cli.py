@@ -1,5 +1,7 @@
 import io
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -253,6 +255,34 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["series", "f", "--order", "-2"])
         assert exc.value.code == 64
+
+    def test_negative_verify_bound_exits_64(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--max-n", "-1"])
+        assert exc.value.code == 64
+        assert "--max-n must be non-negative" in capsys.readouterr().err
+
+    def test_unwritable_out_path_exits_64(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x"
+        code, out, err = run(capsys, "list", "partitions", "3", "--out", str(target))
+        assert (code, out) == (64, "")
+        assert err.startswith(f"partition-paths: cannot write {target}: ")
+        assert len(err.splitlines()) == 1
+
+    def test_closed_stdout_exits_1_without_traceback(self):
+        # the reader stops after one line, as `| head -1` does
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "partition_paths.cli", "list", "partitions", "11"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert first == b"1,1,1,1,1,1,1,1,1,1,1\n"
+        assert err == b""
 
 
 class TestDeterminism:

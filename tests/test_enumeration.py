@@ -8,7 +8,6 @@ from partition_paths import (
     bell_numbers,
     binomial,
     count_blocks,
-    count_uhfree_with_peaks,
     is_irreducible,
     large_schroder,
     narayana,
@@ -57,10 +56,10 @@ class TestRefinedCounts:
     def test_two_element_ground_set(self):
         assert count_blocks(2, 1) == 3
 
-    def test_zero_peaks_column(self):
+    def test_zero_peaks_column(self, paths_of):
         for n in range(9):
             assert count_blocks(n, 0) == 1
-            assert count_uhfree_with_peaks(n, 0) == 1
+            assert sum(1 for p in paths_of(n, "uh_free") if not peaks(p)) == 1
 
     def test_diagonal(self):
         assert count_blocks(4, 4) == 1
@@ -68,15 +67,9 @@ class TestRefinedCounts:
     def test_uhfree_small_values(self, paths_of):
         # 5 UH-free paths of semilength 2: HH has no peak, UDUD has two,
         # the other three have one
-        assert count_uhfree_with_peaks(2, 1) == 3
-        assert count_uhfree_with_peaks(2, 2) == 1
         census = Counter(len(peaks(p)) for p in paths_of(2, "uh_free"))
         assert census == Counter({0: 1, 1: 3, 2: 1})
-
-    def test_both_formulas_agree(self):
-        for n in range(9):
-            for k in range(n + 2):
-                assert count_blocks(n, k) == count_uhfree_with_peaks(n, k)
+        assert [count_blocks(2, k) for k in range(3)] == [1, 3, 1]
 
     def test_matches_block_census(self, avoiders_of):
         for pattern in ("12312", "12321"):
@@ -88,10 +81,10 @@ class TestRefinedCounts:
                     assert count_blocks(n, k) == census.get(k, 0), (pattern, n, k)
 
     def test_matches_peak_census(self, paths_of):
-        for n in range(7):
+        for n in range(9):
             census = Counter(len(peaks(p)) for p in paths_of(n, "uh_free"))
-            for k in range(n + 1):
-                assert count_uhfree_with_peaks(n, k) == census.get(k, 0), (n, k)
+            for k in range(n + 2):
+                assert count_blocks(n, k) == census.get(k, 0), (n, k)
 
 
 class TestSeries:
@@ -216,7 +209,6 @@ class TestExactness:
             binomial(40, 20),
             narayana(30, 11),
             count_blocks(20, 7),
-            count_uhfree_with_peaks(20, 7),
             large_schroder(25),
             bell_number(20),
             series_f(40).coefficients[40],

@@ -3,6 +3,8 @@ answer without recursing, and the round trips must hold.  No timing is
 asserted; a quadratic or recursive body shows up as a hang or a
 RecursionError here."""
 
+import math
+
 import pytest
 
 from partition_paths import (
@@ -76,10 +78,13 @@ def test_fast_predicates_on_staircases():
     assert avoids_12312_fast(p) and not avoids_12321_fast(p)
 
 
-def test_large_schroder_matches_three_term_recurrence():
-    # (k+1) r(k) = 3(2k-1) r(k-1) - (k-2) r(k-2), independent of the
-    # first-step recurrence that large_schroder evaluates
-    r = [1, 2]
-    for k in range(2, 2001):
-        r.append((3 * (2 * k - 1) * r[k - 1] - (k - 2) * r[k - 2]) // (k + 1))
-    assert large_schroder(2000) == r[2000]
+def test_large_schroder_matches_catalan_sum():
+    # r(n) = sum over k of C(n+k, 2k) Cat(k): choose the 2k non-horizontal
+    # steps among n + k steps and a Dyck path on them; independent of the
+    # three-term recurrence that large_schroder evaluates
+    n = 2000
+    want = sum(
+        math.comb(n + k, 2 * k) * (math.comb(2 * k, k) // (k + 1))
+        for k in range(n + 1)
+    )
+    assert large_schroder(n) == want
