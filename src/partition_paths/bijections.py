@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import InvalidObjectError, PreconditionError
-from .partitions import FAST_PATTERNS, SetPartition, decompose, find_pattern
+from .partitions import FAST_PATTERNS, SetPartition, find_pattern
 from .paths import LatticePath, check_path
 
 PATTERNS = tuple(FAST_PATTERNS)
@@ -36,9 +36,9 @@ def _require_avoids(p: SetPartition, pattern: str) -> None:
     _require_pattern(pattern)
     if len(p) == 0:
         raise PreconditionError("the empty partition is outside the bijection domain")
-    word, avoids_fast = FAST_PATTERNS[pattern]
-    if not avoids_fast(p):
-        witness = find_pattern(p, word)
+    entry = FAST_PATTERNS[pattern]
+    if not entry.avoids_fast(p):
+        witness = find_pattern(p, entry.word)
         positions = ",".join(str(i + 1) for i in witness)
         raise PreconditionError(
             f"partition contains pattern {pattern} at positions {positions}",
@@ -61,16 +61,31 @@ def encode(p: SetPartition, pattern: str = "12312") -> LatticePath:
     of i-1 after the first i, followed by one down step; every letter of wi
     equal to i contributes a horizontal step and every smaller letter a down
     step.  The one-element partition maps to the empty path.
+
+    One pass over the word: a new maximum i reserves a slot in the output
+    for its ascent, a letter equal to the running maximum emits H, and a
+    letter c below it emits D and counts one late occurrence of c.  The
+    counts are final once the word ends, and each reserved slot is then
+    filled with its ascent U^(late+1) D.
     """
     _require_avoids(p, pattern)
-    dec = decompose(p)
     out = []
-    for i in range(1, dec.block_count + 1):
-        if i >= 2:
-            out.append("U" * (dec.late_occurrences[i - 2] + 1))
+    slots = []  # slots[i]: where the ascent of label i + 2 goes in out
+    late = []  # late[i]: occurrences of label i + 1 after the first i + 2
+    mx = 1
+    for c in p.word[1:]:
+        if c == mx:
+            out.append("H")
+        elif c < mx:
+            late[c - 1] += 1
             out.append("D")
-        for c in dec.words[i - 1]:
-            out.append("H" if c == i else "D")
+        else:
+            mx = c
+            slots.append(len(out))
+            late.append(0)
+            out.append("")
+    for slot, count in zip(slots, late):
+        out[slot] = "U" * (count + 1) + "D"
     return LatticePath("".join(out))
 
 

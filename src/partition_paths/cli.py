@@ -89,6 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-n", type=int, default=6)
     common(sp)
 
+    # each subcommand's own parser, so that a misused option is reported
+    # with that subcommand's usage line
+    parser.commands = sub.choices
     return parser
 
 
@@ -134,18 +137,17 @@ def _selected(args):
         return paths.generate_paths(
             args.n, args.path_class or "schroder", limit=_limit(args)
         )
-    gen = partitions.generate_partitions(args.n, limit=_limit(args))
-    if args.pattern is None:
-        return gen
-    if args.pattern in partitions.FAST_PATTERNS:
-        keep = partitions.FAST_PATTERNS[args.pattern].avoids_fast
-    else:
-        pattern = partitions.parse_partition(args.pattern)
-
-        def keep(p):
-            return partitions.avoids(p, pattern)
-
-    return filter(keep, gen)
+    if args.pattern is None or args.pattern in partitions.FAST_PATTERNS:
+        # a registered pattern prunes the generation by its prefix rule
+        return partitions.generate_partitions(
+            args.n, limit=_limit(args), avoiding=args.pattern
+        )
+    pattern = partitions.parse_partition(args.pattern)
+    return (
+        p
+        for p in partitions.generate_partitions(args.n, limit=_limit(args))
+        if partitions.avoids(p, pattern)
+    )
 
 
 def _run_list(args, out) -> int:
@@ -289,17 +291,18 @@ def main(argv=None) -> int:
             args.objects = list(args.objects) + extra
         else:
             parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    usage_error = parser.commands[args.command].error
     if args.command in ("list", "count"):
         if args.n < 0:
-            parser.error("n must be non-negative")
+            usage_error("n must be non-negative")
         if args.kind == "paths" and args.pattern is not None:
-            parser.error("--pattern applies only to partitions")
+            usage_error("--pattern applies only to partitions")
         if args.kind == "partitions" and args.path_class is not None:
-            parser.error("--class applies only to paths")
+            usage_error("--class applies only to paths")
     if args.command == "series" and args.order < 0:
-        parser.error("--order must be non-negative")
+        usage_error("--order must be non-negative")
     if args.command == "verify" and args.max_n < 0:
-        parser.error("--max-n must be non-negative")
+        usage_error("--max-n must be non-negative")
     runner = _RUNNERS[args.command]
     try:
         if args.out:

@@ -50,6 +50,8 @@ def _schroder_terms(order: int) -> list:
     """r(0) .. r(order) by the three-term recurrence
     (k+1) r(k) = 3(2k-1) r(k-1) - (k-2) r(k-2) from r(0) = 1, r(1) = 2:
     O(order) big-integer operations, each division exact."""
+    if order < 0:
+        raise ValueError("truncation order must be non-negative")
     r = [1]
     for k in range(1, order + 1):
         r.append(

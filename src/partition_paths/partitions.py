@@ -38,6 +38,15 @@ class SetPartition:
                 mx = c
         self.word = word
 
+    @classmethod
+    def _trusted(cls, word: tuple) -> "SetPartition":
+        """Wrap a tuple that is known to be a restricted growth string,
+        without checking it again (for generators that build only such
+        words)."""
+        self = object.__new__(cls)
+        self.word = word
+        return self
+
     @property
     def n(self) -> int:
         """Size of the ground set."""
@@ -62,7 +71,7 @@ class SetPartition:
         return hash(self.word)
 
     def __str__(self):
-        return ",".join(str(c) for c in self.word)
+        return ",".join(map(str, self.word))
 
     def __repr__(self):
         return f"SetPartition({self.word!r})"
@@ -94,27 +103,54 @@ def parse_partition(text: str) -> SetPartition:
     return SetPartition(letters)
 
 
-def generate_partitions(n: int, limit: int = DEFAULT_LIMIT) -> Iterator[SetPartition]:
+def generate_partitions(
+    n: int, limit: int = DEFAULT_LIMIT, avoiding: Optional[str] = None
+) -> Iterator[SetPartition]:
     """Yield every set partition of [n] exactly once, in lexicographic order
-    of its canonical word."""
+    of its canonical word; with ``avoiding`` (a key of :data:`FAST_PATTERNS`)
+    only the partitions that avoid that pattern.
+
+    Iterative depth-first search over prefixes.  Avoidance is closed under
+    prefixes, so a letter is dropped as soon as the pattern's prefix rule
+    says it completes an occurrence.  Every prefix kept extends to an
+    avoider of [n] (a new block never completes an occurrence), so no work
+    is spent on partitions that are not emitted.  Words are built only as
+    restricted growth strings and are not validated again.
+    """
     if n < 0:
         raise InvalidObjectError("partition size must be non-negative")
     if n > limit:
         raise LimitExceededError(f"n={n} exceeds the exhaustive limit {limit}")
-    if n == 0:
-        yield SetPartition()
+    if avoiding is None:
+        rules_out = _rules_out_nothing
+    elif avoiding in FAST_PATTERNS:
+        rules_out = FAST_PATTERNS[avoiding].rules_out
+    else:
+        raise InvalidObjectError(
+            f"no prefix rule for pattern {avoiding!r}, "
+            f"expected {' or '.join(FAST_PATTERNS)}"
+        )
+    leaf = SetPartition._trusted
+    if n <= 1:
+        yield leaf((1,) * n)
         return
-    word = [1] * n
-
-    def rec(i: int, mx: int) -> Iterator[SetPartition]:
-        if i == n:
-            yield SetPartition(word)
-            return
-        for c in range(1, mx + 2):
-            word[i] = c
-            yield from rec(i + 1, mx if c <= mx else c)
-
-    yield from rec(1, 1)
+    # (prefix, its maximum, bit mask of the letters ruled out after it);
+    # children are pushed in decreasing order so that they pop in increasing
+    # order, and the last letter is chosen without a push
+    stack = [((1,), 1, 0)]
+    while stack:
+        word, mx, banned = stack.pop()
+        if len(word) == n - 1:
+            for c in range(1, mx + 2):
+                if not banned >> c & 1:
+                    yield leaf(word + (c,))
+            continue
+        stack.append((word + (mx + 1,), mx + 1, banned))
+        for c in range(mx, 0, -1):
+            if not banned >> c & 1:
+                stack.append(
+                    (word + (c,), mx, banned | rules_out(c, mx) if c < mx else banned)
+                )
 
 
 def find_pattern(p: SetPartition, pattern: SetPartition) -> Optional[tuple]:
@@ -274,15 +310,45 @@ def avoids_12321_fast(p: SetPartition) -> bool:
     return True
 
 
+def _rules_out_12312(c: int, mx: int) -> int:
+    """A letter c below the running maximum mx lies after the first
+    occurrence of every label up to mx, so by the criterion of
+    :func:`avoids_12312_fast` each later letter y with c < y < mx would
+    complete 12312: the letters c+1 .. mx-1, as a bit mask."""
+    return (1 << mx) - (2 << c)
+
+
+def _rules_out_12321(c: int, mx: int) -> int:
+    """The letters below the running maximum must be weakly increasing
+    (:func:`avoids_12321_fast`), so after a letter c below it no letter
+    smaller than c may follow: the letters 1 .. c-1, as a bit mask."""
+    return (1 << c) - 2
+
+
+def _rules_out_nothing(c: int, mx: int) -> int:
+    return 0
+
+
 class Pattern(NamedTuple):
+    """A pattern of the bijections with its linear-time avoidance test and
+    its prefix rule.
+
+    Either pattern is completed only by a letter below the running maximum.
+    ``rules_out(c, mx)`` is the bit mask of the letters that may no longer
+    follow once a letter c below the running maximum mx is appended; the
+    letters ruled out by the earlier letters of a word accumulate, and the
+    word avoids the pattern exactly when none of its letters was ruled out
+    by an earlier one.
+    """
+
     word: SetPartition
     avoids_fast: Callable[[SetPartition], bool]
+    rules_out: Callable[[int, int], int]
 
 
-# The patterns of the bijections, each with its linear-time avoidance test.
 FAST_PATTERNS = {
-    "12312": Pattern(SetPartition((1, 2, 3, 1, 2)), avoids_12312_fast),
-    "12321": Pattern(SetPartition((1, 2, 3, 2, 1)), avoids_12321_fast),
+    "12312": Pattern(SetPartition((1, 2, 3, 1, 2)), avoids_12312_fast, _rules_out_12312),
+    "12321": Pattern(SetPartition((1, 2, 3, 2, 1)), avoids_12321_fast, _rules_out_12321),
 }
 
 

@@ -91,6 +91,14 @@ class LatticePath:
             raise InvalidObjectError(f"path ends at height {h}, expected 0")
         self.steps = steps
 
+    @classmethod
+    def _trusted(cls, steps: str) -> "LatticePath":
+        """Wrap a step string that is known to be a valid path, without
+        checking it again (for generators that build only such strings)."""
+        self = object.__new__(cls)
+        self.steps = steps
+        return self
+
     @property
     def semilength(self) -> int:
         counts = {s: self.steps.count(s) for s in "UDHL"}
@@ -238,7 +246,8 @@ def generate_paths(
     Depth-first search over step choices, pruned by height and budget.  The
     class rules are bound once: the forbidden factors become the steps that
     may follow each step, and the peak rule the levels at which U may not be
-    followed by D.
+    followed by D.  The pruning keeps every prefix above the axis and lets
+    every leaf end on it, so leaves are not validated again.
     """
     rules = _rules(path_class)
     if n < 0:
@@ -256,12 +265,13 @@ def generate_paths(
     }
     bad_peaks = {h for h in range(1, n + 1) if rules.peak_ok and not rules.peak_ok(h)}
     end_down = rules.end_down
+    leaf = LatticePath._trusted
     steps = []
 
     def rec(remaining: int, y: int, prev: str) -> Iterator[LatticePath]:
         if remaining == 0:
             if not (end_down and prev and prev != "D"):
-                yield LatticePath("".join(steps))
+                yield leaf("".join(steps))
             return
         for s, rise, units in follow[prev]:
             h = y + rise

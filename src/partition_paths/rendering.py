@@ -19,36 +19,47 @@ def render_ascii(p: LatticePath) -> str:
     U and L render as '/', D as '\\', H as two '_' cells sitting on its
     level; a cell crossed by two different segments renders as 'X'.  The
     empty path renders as the empty string.
+
+    One pass over the steps collects the marks (band, column, character);
+    each band is then a list of blank cells that the marks are written into.
     """
     if not p.steps:
         return ""
-    cells = {}
-
-    def put(band, col, ch):
-        old = cells.get((band, col))
-        cells[(band, col)] = ch if old is None or old == ch else "X"
-
+    bands, cols, chars = [], [], []
     x = y = 0
     for s in p.steps:
         if s == "U":
-            put(y, x, "/")
+            bands.append(y)
+            cols.append(x)
+            chars.append("/")
+            x += 1
+            y += 1
         elif s == "D":
-            put(y - 1, x, "\\")
-        elif s == "L":
-            put(y - 1, x - 1, "/")
+            y -= 1
+            bands.append(y)
+            cols.append(x)
+            chars.append("\\")
+            x += 1
+        elif s == "H":
+            bands += (y, y)
+            cols += (x, x + 1)
+            chars += "__"
+            x += 2
         else:
-            put(y, x, "_")
-            put(y, x + 1, "_")
-        x += _RUN[s]
-        y += _RISE[s]
-    top = max(band for band, _ in cells)
-    width = max(col for _, col in cells) + 1
-    rows = [
-        "".join(cells.get((band, col), " ") for col in range(width)).rstrip()
-        for band in range(top, -1, -1)
-    ]
-    rows.append("-" * width)
-    return "\n".join(rows)
+            x -= 1
+            y -= 1
+            bands.append(y)
+            cols.append(x)
+            chars.append("/")
+    width = max(cols) + 1
+    rows = [[" "] * width for _ in range(max(bands) + 1)]
+    for band, col, ch in zip(bands, cols, chars):
+        row = rows[band]
+        old = row[col]
+        row[col] = ch if old == " " or old == ch else "X"
+    lines = ["".join(row).rstrip() for row in reversed(rows)]
+    lines.append("-" * width)
+    return "\n".join(lines)
 
 
 def render_svg(p: LatticePath, unit: int = 20, margin: int = 10) -> str:

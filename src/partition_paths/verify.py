@@ -61,9 +61,9 @@ def _check_partition_generator(max_n: int) -> Optional[str]:
 def _check_fast_predicates(max_n: int) -> Optional[str]:
     for n in range(max_n + 1):
         for p in _partitions(n):
-            for pattern, (word, fast) in partitions.FAST_PATTERNS.items():
-                brute = partitions.avoids(p, word)
-                if fast(p) != brute:
+            for pattern, entry in partitions.FAST_PATTERNS.items():
+                brute = partitions.avoids(p, entry.word)
+                if entry.avoids_fast(p) != brute:
                     return (
                         f"n={n}: fast {pattern} check disagrees with brute force "
                         f"on {p} (brute says avoids={brute})"

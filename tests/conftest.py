@@ -6,6 +6,7 @@ import pytest
 
 from partition_paths import (
     contains_pattern,
+    decompose,
     generate_partitions,
     generate_paths,
     parse_partition,
@@ -41,6 +42,20 @@ def _bell_triangle(order):
     return out
 
 
+def _encode_by_decomposition(p):
+    # Independent oracle: the encoding read off the factorization
+    # 1 w1 2 w2 ... k wk, factor by factor.
+    dec = decompose(p)
+    out = []
+    for i in range(1, dec.block_count + 1):
+        if i >= 2:
+            out.append("U" * (dec.late_occurrences[i - 2] + 1))
+            out.append("D")
+        for c in dec.words[i - 1]:
+            out.append("H" if c == i else "D")
+    return "".join(out)
+
+
 @pytest.fixture(scope="session")
 def partitions_of():
     return _partitions
@@ -59,3 +74,8 @@ def paths_of():
 @pytest.fixture(scope="session")
 def bell_oracle():
     return _bell_triangle
+
+
+@pytest.fixture(scope="session")
+def encode_oracle():
+    return _encode_by_decomposition

@@ -9,6 +9,7 @@ from partition_paths import (
     decode_trace,
     encode,
     encode_to_odd_peaks,
+    generate_partitions,
     is_irreducible,
     parse_partition,
     parse_path,
@@ -50,6 +51,12 @@ class TestEncode:
     def test_rejects_unknown_pattern(self):
         with pytest.raises(PreconditionError):
             encode(SetPartition((1,)), "123")
+
+    @pytest.mark.parametrize("pattern", ["12312", "12321"])
+    def test_single_pass_matches_decomposition(self, encode_oracle, pattern):
+        for n in range(1, 11):
+            for p in generate_partitions(n, avoiding=pattern):
+                assert encode(p, pattern).steps == encode_oracle(p), p
 
 
 class TestDecode:

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from partition_paths import parse_partition, parse_path
+from partition_paths import avoids, generate_partitions, parse_partition, parse_path
 from partition_paths.cli import main
 
 
@@ -116,9 +116,21 @@ class TestListAndCount:
             text = json.loads(line)
             assert str(parse_path(text, "skew_dyck")) == text
 
+    @pytest.mark.parametrize("pattern", ["12321", "1212"])
+    def test_list_partitions_with_pattern(self, capsys, pattern):
+        # 12321 prunes the generation by its prefix rule, 1212 filters it
+        code, out, _ = run(capsys, "list", "partitions", "6", "--pattern", pattern)
+        word = parse_partition(pattern)
+        want = [str(p) for p in generate_partitions(6) if avoids(p, word)]
+        assert code == 0 and out.splitlines() == want
+        assert 0 < len(want) < 203  # some partitions of [6] are dropped
+
     def test_limit_refusal_exits_64(self, capsys):
         code, _, err = run(capsys, "list", "partitions", "13")
         assert code == 64
+        assert "exhaustive limit" in err
+        code, out, err = run(capsys, "list", "partitions", "13", "--pattern", "12312")
+        assert (code, out) == (64, "")
         assert "exhaustive limit" in err
 
     def test_max_n_flag_raises_limit(self, capsys):
@@ -261,6 +273,24 @@ class TestUsage:
             main(["verify", "--max-n", "-1"])
         assert exc.value.code == 64
         assert "--max-n must be non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "--max-n", "-1"], "--max-n must be non-negative"),
+            (["series", "f", "--order", "-1"], "--order must be non-negative"),
+            (["list", "partitions", "-1"], "n must be non-negative"),
+            (["list", "paths", "2", "--pattern", "12312"], "--pattern applies only"),
+            (["count", "partitions", "2", "--class", "dyck"], "--class applies only"),
+        ],
+    )
+    def test_misuse_prints_the_subcommand_usage(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (64, "")
+        assert err.startswith(f"usage: partition-paths {argv[0]} ")
+        assert f"partition-paths {argv[0]}: error: {message}" in err
 
     def test_unwritable_out_path_exits_64(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x"

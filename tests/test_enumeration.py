@@ -172,6 +172,11 @@ class TestLargeSchroder:
             1, 2, 6, 22, 90, 394, 1806, 8558, 41586,
         ]
 
+    def test_negative_semilength_rejected(self):
+        for n in (-1, -2):
+            with pytest.raises(ValueError, match="non-negative"):
+                large_schroder(n)
+
 
 class TestBell:
     def test_values(self):

@@ -59,10 +59,11 @@ def test_odd_peak_rewrite_roundtrip(family):
 
 
 @pytest.mark.parametrize("pattern", ["12312", "12321"])
-def test_staircase_encode_decode(pattern):
+def test_staircase_encode_decode(pattern, encode_oracle):
     p = SetPartition(staircase(N + 1))
     q = encode(p, pattern)
     assert q.semilength == N
+    assert q.steps == encode_oracle(p)
     assert decode(q, pattern) == p
 
 

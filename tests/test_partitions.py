@@ -84,6 +84,18 @@ class TestGenerate:
             list(generate_partitions(13))
         with pytest.raises(LimitExceededError):
             list(generate_partitions(5, limit=4))
+        with pytest.raises(LimitExceededError):
+            list(generate_partitions(13, avoiding="12312"))
+
+    @pytest.mark.parametrize("pattern", ["12312", "12321"])
+    def test_pruned_generation_equals_filtered_oracle(self, avoiders_of, pattern):
+        for n in range(11):
+            got = [p.word for p in generate_partitions(n, avoiding=pattern)]
+            assert got == [p.word for p in avoiders_of(n, pattern)], n
+
+    def test_pattern_without_prefix_rule_rejected(self):
+        with pytest.raises(InvalidObjectError, match="no prefix rule"):
+            list(generate_partitions(3, avoiding="1212"))
 
 
 class TestContainment:

@@ -9,6 +9,50 @@ from partition_paths import (
 )
 
 REF_PATH = "HUUUDUUDDHUUDDHDD"
+RISE = {"U": 1, "D": -1, "H": 0, "L": -1}
+
+
+def render_by_cells(steps):
+    # Literal reference: a dict from (band, column) to the cell's character.
+    if not steps:
+        return ""
+    cells = {}
+
+    def put(band, col, ch):
+        old = cells.get((band, col))
+        cells[(band, col)] = ch if old is None or old == ch else "X"
+
+    x = y = 0
+    for s in steps:
+        if s == "U":
+            put(y, x, "/")
+        elif s == "D":
+            put(y - 1, x, "\\")
+        elif s == "L":
+            put(y - 1, x - 1, "/")
+        else:
+            put(y, x, "_")
+            put(y, x + 1, "_")
+        x += {"U": 1, "D": 1, "H": 2, "L": -1}[s]
+        y += RISE[s]
+    top = max(band for band, _ in cells)
+    width = max(col for _, col in cells) + 1
+    rows = [
+        "".join(cells.get((band, col), " ") for col in range(width)).rstrip()
+        for band in range(top, -1, -1)
+    ]
+    rows.append("-" * width)
+    return "\n".join(rows)
+
+
+def valid_words(max_steps):
+    """Every word over UDHL of at most max_steps steps whose heights stay
+    nonnegative and end at 0."""
+    words = [("", 0)]
+    for word, h in words:
+        if len(word) < max_steps:
+            words.extend((word + s, h + RISE[s]) for s in "UDHL" if h + RISE[s] >= 0)
+    return [word for word, h in words if h == 0]
 
 
 class TestAscii:
@@ -36,6 +80,16 @@ class TestAscii:
 
     def test_empty_path(self):
         assert render_ascii(LatticePath("")) == ""
+
+    def test_matches_cell_reference_on_every_short_path(self):
+        words = valid_words(9)
+        assert len(words) == 9306  # the empty path and 9,305 others
+        crossed = 0
+        for w in words:
+            out = render_ascii(LatticePath(w))
+            assert out == render_by_cells(w), w
+            crossed += "X" in out
+        assert crossed == 3415
 
 
 class TestSvg:
