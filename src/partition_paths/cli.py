@@ -137,12 +137,16 @@ def _selected(args):
         return paths.generate_paths(
             args.n, args.path_class or "schroder", limit=_limit(args)
         )
-    if args.pattern is None or args.pattern in partitions.FAST_PATTERNS:
-        # a registered pattern prunes the generation by its prefix rule
-        return partitions.generate_partitions(
-            args.n, limit=_limit(args), avoiding=args.pattern
-        )
+    if args.pattern is None:
+        return partitions.generate_partitions(args.n, limit=_limit(args))
     pattern = partitions.parse_partition(args.pattern)
+    for name, entry in partitions.FAST_PATTERNS.items():
+        if entry.word == pattern:
+            # a registered pattern prunes the generation by its prefix rule,
+            # however its word is spelled
+            return partitions.generate_partitions(
+                args.n, limit=_limit(args), avoiding=name
+            )
     return (
         p
         for p in partitions.generate_partitions(args.n, limit=_limit(args))

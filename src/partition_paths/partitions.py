@@ -7,9 +7,21 @@ and every letter exceeds the maximum of the letters before it by at most one.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .errors import DEFAULT_LIMIT, InvalidObjectError, LimitExceededError
+
+
+def _letter_error(i: int, c, mx: int) -> str:
+    """Why the letter c may not stand at 0-based position i of a word whose
+    earlier letters have maximum mx."""
+    if not isinstance(c, int) or c < 1:
+        return f"letter at position {i + 1} is not a positive integer: {c!r}"
+    return (
+        f"restricted-growth violation at position {i + 1}: "
+        f"{c} exceeds previous maximum {mx} by more than one"
+    )
 
 
 class SetPartition:
@@ -25,15 +37,8 @@ class SetPartition:
         word = tuple(word)
         mx = 0
         for i, c in enumerate(word):
-            if not isinstance(c, int) or c < 1:
-                raise InvalidObjectError(
-                    f"letter at position {i + 1} is not a positive integer: {c!r}"
-                )
-            if c > mx + 1:
-                raise InvalidObjectError(
-                    f"restricted-growth violation at position {i + 1}: "
-                    f"{c} exceeds previous maximum {mx} by more than one"
-                )
+            if not (isinstance(c, int) and 0 < c <= mx + 1):
+                raise InvalidObjectError(_letter_error(i, c, mx))
             if c > mx:
                 mx = c
         self.word = word
@@ -83,24 +88,39 @@ def parse_partition(text: str) -> SetPartition:
     Accepts comma-separated decimal block indices, or a contiguous digit
     string when every index is a single digit (so "1,1,2" and "112" name the
     same partition).  The empty string parses to the empty partition.
+
+    One pass checks the syntax and the restricted growth of each letter; a
+    syntax error anywhere is reported before the first growth error.
     """
     text = text.strip()
     if not text:
         return SetPartition()
     if "," in text:
-        letters = []
-        for i, token in enumerate(text.split(",")):
+        tokens = text.split(",")
+    elif text.isdecimal():
+        tokens = text
+    else:
+        raise InvalidObjectError(f"syntax error in partition: {text!r}")
+    letters = []
+    mx = 0
+    error = None
+    for i, token in enumerate(tokens):
+        if not token.isdecimal():
             token = token.strip()
             if not token.isdecimal():
                 raise InvalidObjectError(
                     f"syntax error in partition at token {i + 1}: {token!r}"
                 )
-            letters.append(int(token))
-    else:
-        if not text.isdecimal():
-            raise InvalidObjectError(f"syntax error in partition: {text!r}")
-        letters = [int(ch) for ch in text]
-    return SetPartition(letters)
+        c = int(token)
+        if error is None:
+            if not 0 < c <= mx + 1:
+                error = _letter_error(i, c, mx)
+            elif c > mx:
+                mx = c
+        letters.append(c)
+    if error is not None:
+        raise InvalidObjectError(error)
+    return SetPartition._trusted(tuple(letters))
 
 
 def generate_partitions(
@@ -159,8 +179,20 @@ def find_pattern(p: SetPartition, pattern: SetPartition) -> Optional[tuple]:
 
     An occurrence is a subsequence s with s_a = s_b exactly when the pattern
     letters at a and b are equal and s_a < s_b exactly when they are in that
-    order.  Plain depth-first search over positions, pruned on remaining
-    length; this is the containment oracle, so clarity beats speed.
+    order.  This is the containment oracle: an exhaustive depth-first search
+    over positions in increasing order, pruned on remaining length and run
+    without recursion, so the occurrence returned is the lexicographically
+    first and a pattern of any length is searched.  Two facts cut the work
+    per candidate without skipping any occurrence:
+
+    * a pattern letter already matched can only match positions holding
+      exactly its value, so the search jumps to the next one with
+      ``tuple.index`` (the last position of each value says whether there is
+      one);
+    * the pattern is a restricted growth string, so at the first occurrence
+      of a letter t the letters 1 .. t-1 are matched, with increasing
+      values, and no larger letter is; a value c is consistent exactly when
+      it exceeds the value matched to t-1.
     """
     word, pat = p.word, pattern.word
     n, k = len(word), len(pat)
@@ -168,40 +200,34 @@ def find_pattern(p: SetPartition, pattern: SetPartition) -> Optional[tuple]:
         return ()
     if k > n:
         return None
-    kk = max(pat)
-    assign = [0] * (kk + 1)  # pattern letter -> matched word letter, 0 = free
+    last = dict(zip(word, range(n)))  # value -> its last position
+    value = [0] * (max(pat) + 1)  # pattern letter -> matched value; value[0] = 0
+    first = [t > top for t, top in zip(pat, accumulate(pat, max, initial=0))]
     pos = [0] * k
-
-    def rec(pi: int, wi: int) -> bool:
-        if pi == k:
-            return True
-        t = pat[pi]
-        bound = assign[t]
-        for j in range(wi, n - (k - pi) + 1):
-            c = word[j]
-            if bound:
-                if c != bound:
-                    continue
-            else:
-                ok = True
-                for s in range(1, kk + 1):
-                    v = assign[s]
-                    if not v or s == t:
-                        continue
-                    if (s < t and v >= c) or (s > t and v <= c):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                assign[t] = c
-            pos[pi] = j
-            if rec(pi + 1, j + 1):
-                return True
-            if not bound:
-                assign[t] = 0
-        return False
-
-    return tuple(pos) if rec(0, 0) else None
+    i = j = 0  # pattern index, next word position to try for it
+    while True:
+        t = pat[i]
+        stop = n - k + i + 1
+        if first[i]:
+            low = value[t - 1]
+            while j < stop and word[j] <= low:
+                j += 1
+            if j < stop:
+                value[t] = word[j]
+        else:
+            v = value[t]
+            j = word.index(v, j) if last[v] >= j else stop
+        if j < stop:
+            pos[i] = j
+            i += 1
+            if i == k:
+                return tuple(pos)
+            j += 1
+        elif i:
+            i -= 1
+            j = pos[i] + 1
+        else:
+            return None
 
 
 def contains_pattern(p: SetPartition, pattern: SetPartition) -> bool:

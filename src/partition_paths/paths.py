@@ -243,11 +243,11 @@ def generate_paths(
     """Yield every path of semilength n in the class exactly once, in
     lexicographic order of the step string under U < D < H < L.
 
-    Depth-first search over step choices, pruned by height and budget.  The
-    class rules are bound once: the forbidden factors become the steps that
-    may follow each step, and the peak rule the levels at which U may not be
-    followed by D.  The pruning keeps every prefix above the axis and lets
-    every leaf end on it, so leaves are not validated again.
+    Iterative depth-first search over step choices, pruned by height and
+    budget.  The class rules are bound once: the forbidden factors become the
+    steps that may follow each step, and the peak rule the levels at which U
+    may not be followed by D.  The pruning keeps every prefix above the axis
+    and lets every leaf end on it, so leaves are not validated again.
     """
     rules = _rules(path_class)
     if n < 0:
@@ -255,10 +255,11 @@ def generate_paths(
     if n > limit:
         raise LimitExceededError(f"n={n} exceeds the exhaustive limit {limit}")
 
+    # steps in decreasing order, so that pushed children pop in increasing order
     follow = {
         prev: [
             (s, _RISE[s], _HALF_UNITS[s])
-            for s in rules.alphabet
+            for s in reversed(rules.alphabet)
             if prev + s not in rules.forbidden
         ]
         for prev in ("", *rules.alphabet)
@@ -266,21 +267,17 @@ def generate_paths(
     bad_peaks = {h for h in range(1, n + 1) if rules.peak_ok and not rules.peak_ok(h)}
     end_down = rules.end_down
     leaf = LatticePath._trusted
-    steps = []
-
-    def rec(remaining: int, y: int, prev: str) -> Iterator[LatticePath]:
+    stack = [("", "", 2 * n, 0)]  # (prefix, its last step, half units left, height)
+    while stack:
+        steps, prev, remaining, y = stack.pop()
         if remaining == 0:
             if not (end_down and prev and prev != "D"):
-                yield leaf("".join(steps))
-            return
+                yield leaf(steps)
+            continue
         for s, rise, units in follow[prev]:
             h = y + rise
             if h < 0 or h > remaining - units:
                 continue
             if s == "D" and prev == "U" and y in bad_peaks:
                 continue
-            steps.append(s)
-            yield from rec(remaining - units, h, s)
-            steps.pop()
-
-    yield from rec(2 * n, 0, "")
+            stack.append((steps + s, s, remaining - units, h))

@@ -88,6 +88,22 @@ class TestListAndCount:
         code, out, _ = run(capsys, "count", "partitions", "3", "--pattern", "12312")
         assert code == 0 and out == "5\n"
 
+    @pytest.mark.parametrize("spelling", ["1,2,3,1,2", " 12321", "1, 2, 3, 2, 1"])
+    def test_registered_pattern_found_by_its_word(self, capsys, monkeypatch, spelling):
+        canonical = str(parse_partition(spelling)).replace(",", "")
+        want = run(capsys, "list", "partitions", "7", "--pattern", canonical)
+        assert want[0] == 0 and want[1]
+
+        # any spelling of a registered pattern takes the pruned generator,
+        # which never runs the subsequence search
+        def no_search(p, pattern):
+            raise AssertionError("subsequence search called")
+
+        monkeypatch.setattr("partition_paths.partitions.avoids", no_search)
+        assert run(capsys, "list", "partitions", "7", "--pattern", spelling) == want
+        code, out, _ = run(capsys, "count", "partitions", "10", "--pattern", spelling)
+        assert (code, out) == (0, "51822\n")
+
     def test_count_respects_general_patterns(self, capsys):
         code, out, _ = run(capsys, "count", "partitions", "3", "--pattern", "1,2")
         assert code == 0 and out == "1\n"
@@ -170,6 +186,12 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "path", "UUDL")
         assert code == 0 and "family=skew_dyck" in out
 
+    def test_syntax_error_reported_before_growth_error(self, capsys):
+        # the 3 at token 2 breaks restricted growth, but the syntax error wins
+        code, out, err = run(capsys, "check", "partition", "1,3,x")
+        assert (code, out) == (1, "")
+        assert err == "partition-paths: syntax error in partition at token 3: 'x'\n"
+
     def test_mixed_alphabet_rejected(self, capsys):
         code, _, err = run(capsys, "check", "path", "UHDL")
         assert code == 1
@@ -232,6 +254,31 @@ class TestVerify:
         assert code == 3
         assert "FAIL synthetic-check: n=0: synthetic counterexample" in out
         assert out.splitlines()[-1] == "1/2 checks passed"
+
+
+    def test_wrong_fast_predicate_reported_against_census(self, monkeypatch):
+        import partition_paths.verify as verify_mod
+        from partition_paths.partitions import FAST_PATTERNS
+
+        entry = FAST_PATTERNS["12312"]
+
+        def wrong(p):
+            return p.word != (1, 2, 1, 2) and entry.avoids_fast(p)
+
+        monkeypatch.setitem(FAST_PATTERNS, "12312", entry._replace(avoids_fast=wrong))
+        # encode's precondition trusts the fast predicate, so the one check
+        # that encodes 1,2,1,2 as a 12312-avoider is left out
+        checks = [c for c in verify_mod.CHECKS if c[0] != "encode-decode-12312"]
+        monkeypatch.setattr(verify_mod, "CHECKS", tuple(checks))
+        results = verify_mod.run_checks(8)
+        failed = [(r.name, r.failure) for r in results if not r.ok]
+        assert failed == [
+            (
+                "fast-avoidance-matches-oracle",
+                "n=4: fast 12312 check disagrees with brute force on 1,2,1,2 "
+                "(brute says avoids=True)",
+            )
+        ]
 
 
 class TestUsage:

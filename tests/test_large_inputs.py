@@ -14,6 +14,8 @@ from partition_paths import (
     avoids_12321_fast,
     decode,
     encode,
+    find_pattern,
+    generate_paths,
     large_schroder,
     parse_path,
     to_odd_peaks,
@@ -89,3 +91,12 @@ def test_large_schroder_matches_catalan_sum():
         for k in range(n + 1)
     )
     assert large_schroder(n) == want
+
+
+def test_oracle_and_path_generator_do_not_recurse():
+    # a pattern as long as the word, and a path of 2000 steps: both deeper
+    # than the default recursion limit
+    word = SetPartition((1,) * 3000)
+    assert find_pattern(word, word) == tuple(range(3000))
+    first = next(generate_paths(1000, limit=1000))
+    assert first.steps == "U" * 1000 + "D" * 1000

@@ -1,4 +1,6 @@
 import random
+from functools import lru_cache
+from itertools import combinations
 
 import pytest
 
@@ -21,6 +23,13 @@ from partition_paths import (
 
 P12312 = SetPartition((1, 2, 3, 1, 2))
 P12321 = SetPartition((1, 2, 3, 2, 1))
+
+
+@lru_cache(maxsize=None)
+def _standardized(letters):
+    """Each letter replaced by its rank among the distinct letters."""
+    rank = {c: r for r, c in enumerate(sorted(set(letters)), 1)}
+    return tuple(rank[c] for c in letters)
 
 
 class TestParse:
@@ -118,6 +127,23 @@ class TestContainment:
 
     def test_empty_pattern_always_contained(self):
         assert find_pattern(SetPartition((1,)), SetPartition()) == ()
+
+    def test_matches_the_definition(self, partitions_of):
+        # the lexicographically first tuple of positions whose subsequence
+        # is order-isomorphic to the pattern, i.e. standardizes to it
+        patterns = [q.word for m in range(5) for q in partitions_of(m)]
+        patterns += [P12312.word, P12321.word, (1, 2, 1, 2, 3)]
+        lengths = sorted({len(q) for q in patterns})
+        for n in range(9):
+            for p in partitions_of(n):
+                first = {}
+                for k in lengths:
+                    for at, letters in zip(
+                        combinations(range(n), k), combinations(p.word, k)
+                    ):
+                        first.setdefault(_standardized(letters), at)
+                for q in patterns:
+                    assert find_pattern(p, SetPartition(q)) == first.get(q), (p, q)
 
 
 class TestFastPredicates:
