@@ -2,7 +2,6 @@
 bijections between them, with exact enumeration and exhaustive verification."""
 
 from .bijections import (
-    DecoderState,
     PATTERNS,
     decode,
     decode_from_odd_peaks,

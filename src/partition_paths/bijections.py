@@ -12,6 +12,10 @@ Three maps are implemented, together with their inverses and compositions:
 
 Composing encode with to_odd_peaks gives bijections from each avoidance
 class onto the paths without peaks at even level.
+
+Each public map checks its input once, at its entry point, and wraps what a
+kernel on plain strings and tuples builds without checking it again; the
+compositions chain the kernels, so no intermediate path is built.
 """
 
 from collections import deque
@@ -39,6 +43,9 @@ def _require_avoids(p: SetPartition, pattern: str) -> None:
     entry = FAST_PATTERNS[pattern]
     if not entry.avoids_fast(p):
         witness = find_pattern(p, entry.word)
+        if witness is None:
+            fast = f"the fast {pattern} test says {p} contains the pattern"
+            raise PreconditionError(f"{fast}, but find_pattern finds no occurrence")
         positions = ",".join(str(i + 1) for i in witness)
         raise PreconditionError(
             f"partition contains pattern {pattern} at positions {positions}",
@@ -46,11 +53,12 @@ def _require_avoids(p: SetPartition, pattern: str) -> None:
         )
 
 
-def _require_class(p: LatticePath, path_class: str, expectation: str) -> None:
+def _require_class(p: LatticePath, path_class: str, caller: str) -> None:
     try:
         check_path(p, path_class)
     except InvalidObjectError as exc:
-        raise PreconditionError(f"{expectation}; {exc}") from None
+        want = "a UH-free path" if path_class == "uh_free" else "no peak at even level"
+        raise PreconditionError(f"{caller} expects {want}; {exc}") from None
 
 
 def encode(p: SetPartition, pattern: str = "12312") -> LatticePath:
@@ -69,11 +77,15 @@ def encode(p: SetPartition, pattern: str = "12312") -> LatticePath:
     filled with its ascent U^(late+1) D.
     """
     _require_avoids(p, pattern)
+    return LatticePath._trusted(_encode(p.word))
+
+
+def _encode(word: tuple) -> str:
     out = []
     slots = []  # slots[i]: where the ascent of label i + 2 goes in out
     late = []  # late[i]: occurrences of label i + 1 after the first i + 2
     mx = 1
-    for c in p.word[1:]:
+    for c in word[1:]:
         if c == mx:
             out.append("H")
         elif c < mx:
@@ -86,36 +98,20 @@ def encode(p: SetPartition, pattern: str = "12312") -> LatticePath:
             out.append("")
     for slot, count in zip(slots, late):
         out[slot] = "U" * (count + 1) + "D"
-    return LatticePath("".join(out))
+    return "".join(out)
 
 
-@dataclass
-class DecoderState:
-    """Step labeling built while decoding a path.
-
-    ``steps`` is the working path (the input with one peak prepended) and
-    ``labels[i]`` the label given to step i.
-    """
-
-    steps: str
-    labels: list
-
-    def trace(self) -> str:
-        """Line-oriented dump: one "index step label" row per step."""
-        return "\n".join(
-            f"{i} {s} {lbl}" for i, (s, lbl) in enumerate(zip(self.steps, self.labels))
-        )
-
-
-def _decode(p: LatticePath, pattern: str):
-    steps = "UD" + p.steps
+def _decode(steps: str, pattern: str):
+    """Label the steps of the path with a peak prepended: (word, steps, labels)."""
+    steps = "UD" + steps
     n = len(steps)
     take_max = pattern == "12312"
     labels = [0] * n
     word = []
     # Up-step labels are pushed in nondecreasing order, so the unmatched ones
     # (the up-step multiset minus the down-step multiset) form a sorted deque:
-    # its maximum is the back and its minimum the front.
+    # its maximum is the back and its minimum the front.  It holds as many
+    # labels as the height before the step, so no down step finds it empty.
     free = deque()
     seen_peaks = 0
     for i, s in enumerate(steps):
@@ -131,15 +127,10 @@ def _decode(p: LatticePath, pattern: str):
         elif steps[i - 1] == "U":
             # a peak down step copies its peak's label, the last one pushed
             labels[i] = free.pop()
-        elif not free:
-            raise PreconditionError(
-                "not a valid UH-free path: no unmatched up-step label "
-                f"available at step {i}"
-            )
         else:
             labels[i] = free.pop() if take_max else free.popleft()
         word.append(labels[i])
-    return SetPartition(word), DecoderState(steps, labels)
+    return tuple(word), steps, labels
 
 
 def decode(p: LatticePath, pattern: str = "12312") -> SetPartition:
@@ -153,22 +144,19 @@ def decode(p: LatticePath, pattern: str = "12312") -> SetPartition:
     labels to its left, multiplicities respected.  The labels of the down and
     horizontal steps, read left to right, spell the partition.  The empty
     path decodes to the one-element partition.
-
-    One left-to-right pass, linear in the path length: up-step labels arrive
-    in nondecreasing order, so the unmatched labels are kept in a deque whose
-    back is the maximum and whose front is the minimum.
     """
     _require_pattern(pattern)
-    _require_class(p, "uh_free", "decode expects a UH-free path")
-    return _decode(p, pattern)[0]
+    _require_class(p, "uh_free", "decode")
+    return SetPartition._trusted(_decode(p.steps, pattern)[0])
 
 
 def decode_trace(p: LatticePath, pattern: str = "12312") -> str:
     """The step labeling used by :func:`decode`, as an "index step label"
     dump (debugging aid)."""
     _require_pattern(pattern)
-    _require_class(p, "uh_free", "decode_trace expects a UH-free path")
-    return _decode(p, pattern)[1].trace()
+    _require_class(p, "uh_free", "decode_trace")
+    _, steps, labels = _decode(p.steps, pattern)
+    return "\n".join(f"{i} {s} {lbl}" for i, (s, lbl) in enumerate(zip(steps, labels)))
 
 
 def _rewrite_forward(steps: str) -> str:
@@ -265,8 +253,8 @@ def to_odd_peaks(p: LatticePath) -> LatticePath:
     the number of factors still open in each enclosing group says what every
     step becomes as it is read.
     """
-    _require_class(p, "uh_free", "to_odd_peaks expects a UH-free path")
-    return LatticePath(_rewrite_forward(p.steps))
+    _require_class(p, "uh_free", "to_odd_peaks")
+    return LatticePath._trusted(_rewrite_forward(p.steps))
 
 
 def to_uh_free(p: LatticePath) -> LatticePath:
@@ -279,19 +267,22 @@ def to_uh_free(p: LatticePath) -> LatticePath:
     pass with an explicit stack, linear time: the ascent U^k D is written
     into a reserved slot of the output once its group's factors are counted.
     """
-    _require_class(p, "no_even_peak", "to_uh_free expects no peak at even level")
-    return LatticePath(_rewrite_backward(p.steps))
+    _require_class(p, "no_even_peak", "to_uh_free")
+    return LatticePath._trusted(_rewrite_backward(p.steps))
 
 
 def encode_to_odd_peaks(p: SetPartition, pattern: str = "12312") -> LatticePath:
     """Composition of :func:`encode` and :func:`to_odd_peaks`: avoiding
     partitions of [n+1] onto paths of semilength n without even-level peaks."""
-    return to_odd_peaks(encode(p, pattern))
+    _require_avoids(p, pattern)
+    return LatticePath._trusted(_rewrite_forward(_encode(p.word)))
 
 
 def decode_from_odd_peaks(p: LatticePath, pattern: str = "12312") -> SetPartition:
-    """Inverse of :func:`encode_to_odd_peaks`."""
-    return decode(to_uh_free(p), pattern)
+    """Inverse of :func:`encode_to_odd_peaks`; a bad path outranks a bad pattern."""
+    _require_class(p, "no_even_peak", "to_uh_free")
+    _require_pattern(pattern)
+    return SetPartition._trusted(_decode(_rewrite_backward(p.steps), pattern)[0])
 
 
 @dataclass(frozen=True)

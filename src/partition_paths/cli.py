@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, formats=("ascii", "svg"))
 
     sp = sub.add_parser("series", help="print counting-series coefficients")
-    sp.add_argument("identifier", choices=("f", "f_prime", "schroder", "bell"))
+    sp.add_argument("identifier", choices=tuple(enumeration.SERIES))
     sp.add_argument("--order", type=int, default=32)
     common(sp)
 

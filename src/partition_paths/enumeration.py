@@ -123,8 +123,6 @@ def series_f_prime(order: int = 32) -> SeriesTable:
     with f taken from :func:`series_f`.  With g = f - 1 - xf this reads
     f'[n] = f'[n-1] + sum f'[i] g[n-1-i] over i < n, computed coefficient by
     coefficient: O(order^2) multiplications."""
-    if order < 0:
-        raise ValueError("truncation order must be non-negative")
     f = series_f(order).coefficients
     g = [f[n] - (f[n - 1] if n else 1) for n in range(order + 1)]
     fp = [1]
@@ -133,16 +131,20 @@ def series_f_prime(order: int = 32) -> SeriesTable:
     return SeriesTable("f_prime", tuple(fp))
 
 
+# Each named series and the function that builds it up to a given order.
+SERIES = {
+    "f": series_f,
+    "f_prime": series_f_prime,
+    "schroder": lambda order: SeriesTable("schroder", tuple(_schroder_terms(order))),
+    "bell": lambda order: SeriesTable("bell", tuple(bell_numbers(order))),
+}
+
+
 def series(identifier: str, order: int = 32) -> SeriesTable:
-    """Series lookup by name: f, f_prime, schroder or bell."""
+    """Series lookup by name in :data:`SERIES`: f, f_prime, schroder or bell."""
     if order < 0:
         raise ValueError("truncation order must be non-negative")
-    if identifier == "f":
-        return series_f(order)
-    if identifier == "f_prime":
-        return series_f_prime(order)
-    if identifier == "schroder":
-        return SeriesTable("schroder", tuple(_schroder_terms(order)))
-    if identifier == "bell":
-        return SeriesTable("bell", tuple(bell_numbers(order)))
-    raise ValueError(f"unknown series {identifier!r}")
+    build = SERIES.get(identifier)
+    if build is None:
+        raise ValueError(f"unknown series {identifier!r}")
+    return build(order)

@@ -46,8 +46,8 @@ class SetPartition:
     @classmethod
     def _trusted(cls, word: tuple) -> "SetPartition":
         """Wrap a tuple that is known to be a restricted growth string,
-        without checking it again (for generators that build only such
-        words)."""
+        without checking it again (for generators and maps that build
+        only such words)."""
         self = object.__new__(cls)
         self.word = word
         return self

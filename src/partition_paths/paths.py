@@ -93,8 +93,8 @@ class LatticePath:
 
     @classmethod
     def _trusted(cls, steps: str) -> "LatticePath":
-        """Wrap a step string that is known to be a valid path, without
-        checking it again (for generators that build only such strings)."""
+        """Wrap a step string known to be a valid path, without checking it
+        again (for generators and maps that build only such strings)."""
         self = object.__new__(cls)
         self.steps = steps
         return self

@@ -3,6 +3,8 @@
 from .errors import InvalidObjectError
 from .paths import LatticePath, _RISE, _RUN
 
+_UNIT, _MARGIN = 20, 10  # SVG user units per lattice unit and around the drawing
+
 
 def render(p: LatticePath, fmt: str = "ascii") -> str:
     if fmt == "ascii":
@@ -62,7 +64,7 @@ def render_ascii(p: LatticePath) -> str:
     return "\n".join(lines)
 
 
-def render_svg(p: LatticePath, unit: int = 20, margin: int = 10) -> str:
+def render_svg(p: LatticePath) -> str:
     """Standalone SVG drawing with unit-slope segments and a dot at every
     visited lattice point."""
     points = [(0, 0)]
@@ -73,14 +75,14 @@ def render_svg(p: LatticePath, unit: int = 20, margin: int = 10) -> str:
         points.append((x, y))
     max_x = max(px for px, _ in points)
     max_y = max(py for _, py in points)
-    width = max_x * unit + 2 * margin
-    height = max_y * unit + 2 * margin
+    width = max_x * _UNIT + 2 * _MARGIN
+    height = max_y * _UNIT + 2 * _MARGIN
 
     def sx(px):
-        return margin + px * unit
+        return _MARGIN + px * _UNIT
 
     def sy(py):
-        return margin + (max_y - py) * unit
+        return _MARGIN + (max_y - py) * _UNIT
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '

@@ -13,6 +13,7 @@ from functools import lru_cache
 from typing import Optional
 
 from . import bijections, enumeration, partitions, paths
+from .errors import InvalidObjectError, LimitExceededError, PreconditionError
 
 _SKEW_COUNTS = (1, 1, 3, 10, 36, 137)  # exhaustive-search reference values
 
@@ -295,10 +296,14 @@ def run_checks(max_n: int = 8) -> list:
     """Run every identity check, each capped at min(max_n, its stated range).
 
     Results come back in the fixed declaration order, so output built from
-    them is deterministic.
+    them is deterministic; a library error raised inside a check is its failure.
     """
     results = []
     for name, cap, fn in CHECKS:
         bound = min(max_n, cap)
-        results.append(CheckResult(name, bound, fn(bound)))
+        try:
+            failure = fn(bound)
+        except (InvalidObjectError, LimitExceededError, PreconditionError) as exc:
+            failure = f"raised {type(exc).__name__}: {exc}"
+        results.append(CheckResult(name, bound, failure))
     return results

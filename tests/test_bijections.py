@@ -9,6 +9,7 @@ from partition_paths import (
     decode_trace,
     encode,
     encode_to_odd_peaks,
+    find_pattern,
     generate_partitions,
     is_irreducible,
     parse_partition,
@@ -17,6 +18,9 @@ from partition_paths import (
     to_odd_peaks,
     to_uh_free,
 )
+from partition_paths.bijections import MAPS
+from partition_paths.partitions import FAST_PATTERNS
+from partition_paths.paths import check_path
 
 REF_PARTITION = parse_partition("11232343411")
 REF_ENCODED = "HUUUDUUDDHUUDDHDD"
@@ -51,6 +55,18 @@ class TestEncode:
     def test_rejects_unknown_pattern(self):
         with pytest.raises(PreconditionError):
             encode(SetPartition((1,)), "123")
+
+    def test_unwitnessed_containment_is_a_precondition_error(self, monkeypatch):
+        entry = FAST_PATTERNS["12312"]
+        monkeypatch.setitem(
+            FAST_PATTERNS, "12312", entry._replace(avoids_fast=lambda p: False)
+        )
+        with pytest.raises(PreconditionError) as exc:
+            encode(SetPartition((1, 2, 1, 2)), "12312")
+        assert str(exc.value) == (
+            "the fast 12312 test says 1,2,1,2 contains the pattern, "
+            "but find_pattern finds no occurrence"
+        )
 
     @pytest.mark.parametrize("pattern", ["12312", "12321"])
     def test_single_pass_matches_decomposition(self, encode_oracle, pattern):
@@ -128,6 +144,111 @@ class TestCompositions:
     def test_roundtrip(self):
         q = encode_to_odd_peaks(REF_PARTITION)
         assert decode_from_odd_peaks(q) == REF_PARTITION
+
+
+CONTAINS_12312 = "partition contains pattern 12312 at positions 1,2,3,4,5"
+EMPTY = "the empty partition is outside the bijection domain"
+EVEN_PEAK = (
+    "to_uh_free expects no peak at even level; peak at even level 2 at position 2"
+)
+LEFT_STEP = (
+    "to_uh_free expects no peak at even level; unknown step character 'L' at "
+    "position 5 (class no_even_peak uses U/D/H)"
+)
+
+
+def _unsupported(pattern):
+    return f"unsupported pattern {pattern!r}, expected 12312 or 12321"
+
+
+class TestCompositionErrors:
+    """The compositions check their input once, at entry, and raise exactly
+    what the first map of the chain raises, in the same order."""
+
+    @pytest.mark.parametrize(
+        "word, pattern, message, witness",
+        [
+            ((1, 2, 3, 1, 2), "12312", CONTAINS_12312, (0, 1, 2, 3, 4)),
+            (
+                (1, 2, 3, 2, 1),
+                "12321",
+                "partition contains pattern 12321 at positions 1,2,3,4,5",
+                (0, 1, 2, 3, 4),
+            ),
+            ((), "12312", EMPTY, None),
+            ((1,), "123", _unsupported("123"), None),
+            ((1, 2, 3, 1, 2), "bogus", _unsupported("bogus"), None),
+            ((), "bogus", _unsupported("bogus"), None),
+        ],
+    )
+    def test_forward(self, word, pattern, message, witness):
+        for fn in (encode, encode_to_odd_peaks):
+            with pytest.raises(PreconditionError) as exc:
+                fn(SetPartition(word), pattern)
+            assert (str(exc.value), exc.value.witness) == (message, witness), fn
+
+    @pytest.mark.parametrize(
+        "steps, pattern, message",
+        [
+            ("UUDD", "12312", EVEN_PEAK),
+            ("UUUDLD", "12321", LEFT_STEP),
+            ("UD", "123", _unsupported("123")),
+            ("UUDD", "bogus", EVEN_PEAK),
+            ("UUUDLD", "bogus", LEFT_STEP),
+        ],
+    )
+    def test_inverse(self, steps, pattern, message):
+        with pytest.raises(PreconditionError) as exc:
+            decode_from_odd_peaks(LatticePath(steps), pattern)
+        assert (str(exc.value), exc.value.witness) == (message, None)
+
+
+# Per map: the pattern its partitions avoid (None for the path rewrite psi)
+# and the class of its forward images; psi's forward inputs are UH-free.
+IMAGES = {
+    "sigma": ("12312", "uh_free"),
+    "phi": ("12321", "uh_free"),
+    "psi": (None, "no_even_peak"),
+    "full12312": ("12312", "no_even_peak"),
+    "full12321": ("12321", "no_even_peak"),
+}
+
+
+def _assert_valid_path(q, path_class):
+    rebuilt = LatticePath(q.steps)
+    check_path(rebuilt, path_class)
+    assert rebuilt == q and type(q.steps) is str
+
+
+def _assert_valid_partition(p, pattern):
+    assert SetPartition(p.word) == p and type(p.word) is tuple
+    assert find_pattern(p, FAST_PATTERNS[pattern].word) is None, p
+
+
+class TestOutputsPassTheCheckingConstructors:
+    """The maps wrap their results without checking them; every result must
+    still rebuild through the checking constructors and lie in its target."""
+
+    def test_every_map_is_covered(self):
+        assert set(IMAGES) == set(MAPS)
+
+    @pytest.mark.parametrize("name", sorted(IMAGES))
+    def test_outputs(self, name, paths_of):
+        pattern, image = IMAGES[name]
+        bijection = MAPS[name]
+        for n in range(9):
+            if pattern is None:
+                sources = paths_of(n, "uh_free")
+            else:
+                sources = generate_partitions(n + 1, avoiding=pattern)
+            for x in sources:
+                _assert_valid_path(bijection.forward(x), image)
+            for q in paths_of(n, image):
+                y = bijection.inverse(q)
+                if pattern is None:
+                    _assert_valid_path(y, "uh_free")
+                else:
+                    _assert_valid_partition(y, pattern)
 
 
 class TestExhaustive:

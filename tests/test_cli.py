@@ -266,10 +266,9 @@ class TestVerify:
             return p.word != (1, 2, 1, 2) and entry.avoids_fast(p)
 
         monkeypatch.setitem(FAST_PATTERNS, "12312", entry._replace(avoids_fast=wrong))
-        # encode's precondition trusts the fast predicate, so the one check
-        # that encodes 1,2,1,2 as a 12312-avoider is left out
-        checks = [c for c in verify_mod.CHECKS if c[0] != "encode-decode-12312"]
-        monkeypatch.setattr(verify_mod, "CHECKS", tuple(checks))
+        # encode's precondition asks the fast predicate, and the containment
+        # it reports cannot be witnessed: that check fails with the library
+        # error instead of ending the run
         results = verify_mod.run_checks(8)
         failed = [(r.name, r.failure) for r in results if not r.ok]
         assert failed == [
@@ -277,8 +276,27 @@ class TestVerify:
                 "fast-avoidance-matches-oracle",
                 "n=4: fast 12312 check disagrees with brute force on 1,2,1,2 "
                 "(brute says avoids=True)",
-            )
+            ),
+            (
+                "encode-decode-12312",
+                "raised PreconditionError: the fast 12312 test says 1,2,1,2 "
+                "contains the pattern, but find_pattern finds no occurrence",
+            ),
         ]
+
+    def test_library_error_in_check_is_a_fail_line(self, capsys, monkeypatch):
+        import partition_paths.verify as verify_mod
+        from partition_paths import PreconditionError
+
+        def raising(m):
+            raise PreconditionError("synthetic precondition")
+
+        broken = (("raising-check", 2, raising),)
+        monkeypatch.setattr(verify_mod, "CHECKS", verify_mod.CHECKS[:1] + broken)
+        code, out, _ = run(capsys, "verify", "--max-n", "2")
+        assert code == 3
+        assert "FAIL raising-check: raised PreconditionError: synthetic precondition" in out
+        assert out.splitlines()[-1] == "1/2 checks passed"
 
 
 class TestUsage:

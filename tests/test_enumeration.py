@@ -197,8 +197,21 @@ class TestDispatcher:
         assert series("f", 2) == SeriesTable("f", (1, 2, 5))
 
     def test_unknown(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^unknown series 'catalan'$"):
             series("catalan", 3)
+        # a negative order is reported first, whatever the name
+        with pytest.raises(ValueError, match="^truncation order must be"):
+            series("catalan", -1)
+
+    def test_cli_offers_exactly_the_table(self):
+        from partition_paths import enumeration
+        from partition_paths.cli import build_parser
+
+        actions = build_parser().commands["series"]._actions
+        choices = next(a.choices for a in actions if a.dest == "identifier")
+        assert tuple(choices) == tuple(enumeration.SERIES) == (
+            "f", "f_prime", "schroder", "bell"
+        )
 
     def test_negative_order(self):
         for fn in (series_f, series_f_prime, bell_numbers):
