@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--class", dest="path_class", choices=paths.PATH_CLASSES, default=None
     )
-    common(sp, formats=("ascii", "svg"))
+    common(sp, formats=tuple(rendering.RENDERERS))
 
     sp = sub.add_parser("series", help="print counting-series coefficients")
     sp.add_argument("identifier", choices=tuple(enumeration.SERIES))
@@ -185,17 +185,14 @@ def _run_map(args, out) -> int:
 
 
 def _run_check(args, out) -> int:
+    fast = [(f"avoids_{k}", v.avoids_fast) for k, v in partitions.FAST_PATTERNS.items()]
     for text in _input_objects(args):
         if args.kind == "partition":
             p = partitions.parse_partition(text)
-            record = {
-                "object": str(p),
-                "n": p.n,
-                "blocks": p.block_count,
-                "avoids_12312": partitions.avoids_12312_fast(p),
-                "avoids_12321": partitions.avoids_12321_fast(p),
-                "irreducible": bool(p.word) and partitions.is_irreducible(p),
-            }
+            record = {"object": str(p), "n": p.n, "blocks": p.block_count}
+            for key, avoids_fast in fast:
+                record[key] = avoids_fast(p)
+            record["irreducible"] = bool(p.word) and partitions.is_irreducible(p)
         else:
             cls = _infer_path_class(text)
             p = paths.parse_path(text, cls)

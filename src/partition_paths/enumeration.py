@@ -41,23 +41,53 @@ def count_blocks(n: int, k: int) -> int:
     return sum(narayana(j, k) * binomial(n, j) for j in range(k, n + 1))
 
 
-def large_schroder(n: int) -> int:
-    """The number of Schroder paths of semilength n."""
-    return _schroder_terms(n)[-1]
+_RECURRENCES = {
+    # r = (1 - x - v) / (2x) with v = sqrt(1 - 6x + x^2), so
+    # (1 - 6x + x^2) v' = (x - 3) v; put v(n + 1) = -2 r(n) for n >= 1.
+    "schroder": (
+        (1, 2), lambda n, r: (3 * (2 * n - 1) * r[-1] - (n - 2) * r[-2]) // (n + 1)
+    ),
+    # x(1-x) f^2 - (1-x) f + 1 = 0, so u = 1 - 2xf has u^2 (1-x) = 1 - 5x and
+    # (1-x)(1-5x) u' + 2u = 0; put u(n + 1) = -2 f(n) for n >= 0.
+    "f": (
+        (1, 2), lambda n, f: ((6 * n - 2) * f[-1] - 5 * (n - 1) * f[-2]) // (n + 1)
+    ),
+    # g = f' = 1 / (1 - x(1-x) f) = f / (1 + xf) = (1 + x - w) / (2x(2-x)) with
+    # w = (1-x) u = sqrt((1-x)(1-5x)), so (1-x)(1-5x) w' + (3-5x) w = 0 and
+    # x(2-x)(1-x)(1-5x) g' + (2 - 8x + 9x^2 - 5x^3) g = 2 - 4x (0 at x^n, n >= 2).
+    "f_prime": (
+        (1, 1, 2),
+        lambda n, g: (
+            (13 * n - 5) * g[-1] - (16 * n - 23) * g[-2] + 5 * (n - 2) * g[-3]
+        )
+        // (2 * (n + 1)),
+    ),
+    # skew Dyck paths: x a^2 - (1-x) a + 1 - x = 0 (Deutsch, Munarini and
+    # Rinaldi, 2010), so a = (1-x) f, and w = 1 - x - 2xa has w(n + 1) = -2 a(n).
+    "skew_dyck": (
+        (1, 1), lambda n, a: ((6 * n - 3) * a[-1] - 5 * (n - 2) * a[-2]) // (n + 1)
+    ),
+}
 
 
-def _schroder_terms(order: int) -> list:
-    """r(0) .. r(order) by the three-term recurrence
-    (k+1) r(k) = 3(2k-1) r(k-1) - (k-2) r(k-2) from r(0) = 1, r(1) = 2:
-    O(order) big-integer operations, each division exact."""
+def _terms(name: str, order: int) -> list:
+    """Terms 0 .. order of the sequence ``name`` in :data:`_RECURRENCES`, in
+    O(order) big-integer operations: step(n, s) is term n, a numerator over an
+    exact divisor, from the terms s = [s(0), .., s(n-1)] before it.  Each row
+    is the coefficient of x^n in a linear ODE with polynomial coefficients that
+    the square root in the sequence's closed form obeys, where s(n) = [x^n] s."""
     if order < 0:
         raise ValueError("truncation order must be non-negative")
-    r = [1]
-    for k in range(1, order + 1):
-        r.append(
-            (3 * (2 * k - 1) * r[k - 1] - (k - 2) * r[k - 2]) // (k + 1) if k > 1 else 2
-        )
-    return r
+    first, step = _RECURRENCES[name]
+    terms = list(first[: order + 1])
+    for n in range(len(first), order + 1):
+        terms.append(step(n, terms))
+    return terms
+
+
+def large_schroder(n: int) -> int:
+    """The number of Schroder paths of semilength n."""
+    return _terms("schroder", n)[-1]
 
 
 def bell_numbers(order: int) -> list:
@@ -95,47 +125,20 @@ class SeriesTable:
 
 
 def series_f(order: int = 32) -> SeriesTable:
-    """Coefficients of the series f counting UH-free Schroder paths by
-    semilength, from the functional equation
-
-        f = 1 + 2xf + xf(f - 1 - xf),  that is  f = 1 + xf + xf^2 - x^2 f^2.
-
-    Read coefficientwise this is f[n] = f[n-1] + (f^2)[n-1] - (f^2)[n-2],
-    and (f^2)[n-1] needs only f[0] .. f[n-1], so each coefficient follows
-    directly from the earlier ones: O(order^2) multiplications.
-    """
-    if order < 0:
-        raise ValueError("truncation order must be non-negative")
-    f = [1]
-    sq = []  # sq[m] = (f^2)[m]
-    for n in range(1, order + 1):
-        sq.append(sum(f[i] * f[n - 1 - i] for i in range(n)))
-        f.append(f[n - 1] + sq[n - 1] - (sq[n - 2] if n >= 2 else 0))
-    return SeriesTable("f", tuple(f))
+    """The series f counting UH-free Schroder paths by semilength, to order."""
+    return SeriesTable("f", tuple(_terms("f", order)))
 
 
 def series_f_prime(order: int = 32) -> SeriesTable:
-    """Coefficients of the series f' counting UH-free Schroder paths without
-    peaks at level one, from
-
-        f' = 1 + xf' + xf'(f - 1 - xf)
-
-    with f taken from :func:`series_f`.  With g = f - 1 - xf this reads
-    f'[n] = f'[n-1] + sum f'[i] g[n-1-i] over i < n, computed coefficient by
-    coefficient: O(order^2) multiplications."""
-    f = series_f(order).coefficients
-    g = [f[n] - (f[n - 1] if n else 1) for n in range(order + 1)]
-    fp = [1]
-    for n in range(1, order + 1):
-        fp.append(fp[n - 1] + sum(fp[i] * g[n - 1 - i] for i in range(n)))
-    return SeriesTable("f_prime", tuple(fp))
+    """The series f' counting UH-free Schroder paths without level-one peaks."""
+    return SeriesTable("f_prime", tuple(_terms("f_prime", order)))
 
 
 # Each named series and the function that builds it up to a given order.
 SERIES = {
     "f": series_f,
     "f_prime": series_f_prime,
-    "schroder": lambda order: SeriesTable("schroder", tuple(_schroder_terms(order))),
+    "schroder": lambda order: SeriesTable("schroder", tuple(_terms("schroder", order))),
     "bell": lambda order: SeriesTable("bell", tuple(bell_numbers(order))),
 }
 

@@ -216,8 +216,13 @@ def check_path(p: LatticePath, path_class: str) -> None:
     the class in :data:`CLASS_RULES`; the message names the first rule
     broken and its position."""
     rules = _rules(path_class)
+    _check_alphabet(p.steps, path_class, rules.alphabet)
+    _check_step_rules(p, rules)
+
+
+def _check_step_rules(p: LatticePath, rules: ClassRules) -> None:
+    """check_path without the alphabet, which the caller has checked."""
     steps = p.steps
-    _check_alphabet(steps, path_class, rules.alphabet)
     error = (
         (rules.forbidden and _factor_error(steps, rules))
         or (rules.peak_ok and _peak_error(p, rules))
@@ -230,10 +235,11 @@ def check_path(p: LatticePath, path_class: str) -> None:
 def parse_path(text: str, path_class: str = "schroder") -> LatticePath:
     """Parse and validate a step string as a member of the given class."""
     text = text.strip()
+    rules = _rules(path_class)
     # a foreign letter is reported as such, before the heights are checked
-    _check_alphabet(text, path_class, _rules(path_class).alphabet)
+    _check_alphabet(text, path_class, rules.alphabet)
     p = LatticePath(text)
-    check_path(p, path_class)
+    _check_step_rules(p, rules)
     return p
 
 

@@ -7,11 +7,10 @@ _UNIT, _MARGIN = 20, 10  # SVG user units per lattice unit and around the drawin
 
 
 def render(p: LatticePath, fmt: str = "ascii") -> str:
-    if fmt == "ascii":
-        return render_ascii(p)
-    if fmt == "svg":
-        return render_svg(p)
-    raise InvalidObjectError(f"unknown render format {fmt!r}")
+    draw = RENDERERS.get(fmt)
+    if draw is None:
+        raise InvalidObjectError(f"unknown render format {fmt!r}")
+    return draw(p)
 
 
 def render_ascii(p: LatticePath) -> str:
@@ -97,3 +96,7 @@ def render_svg(p: LatticePath) -> str:
         parts.append(f'<circle cx="{sx(px)}" cy="{sy(py)}" r="2" fill="black"/>')
     parts.append("</svg>")
     return "\n".join(parts)
+
+
+# Each render format and the function that draws it; render and the CLI read it.
+RENDERERS = {"ascii": render_ascii, "svg": render_svg}

@@ -170,6 +170,23 @@ class TestCheck:
         assert "irreducible=true" in out
         assert "blocks=2" in out
 
+    def test_partition_record_has_every_registered_pattern(self, capsys, monkeypatch):
+        from partition_paths import partitions
+
+        word = parse_partition("121")
+        entry = partitions.FAST_PATTERNS["12312"]._replace(
+            word=word, avoids_fast=lambda p: avoids(p, word)
+        )
+        monkeypatch.setitem(partitions.FAST_PATTERNS, "121", entry)
+        code, out, _ = run(capsys, "check", "partition", "1,2,1", "1,1,2")
+        assert code == 0
+        assert out == (
+            "object=1,2,1 n=3 blocks=2 avoids_12312=true avoids_12321=true "
+            "avoids_121=false irreducible=true\n"
+            "object=1,1,2 n=3 blocks=2 avoids_12312=true avoids_12321=true "
+            "avoids_121=true irreducible=false\n"
+        )
+
     def test_path_record(self, capsys):
         code, out, _ = run(capsys, "check", "path", "UUDD")
         assert "no_even_peak=false" in out

@@ -18,6 +18,30 @@ from partition_paths import (
 )
 
 
+def f_by_convolution(order):
+    # Independent oracle: the functional equation f = 1 + xf + xf^2 - x^2 f^2
+    # read coefficientwise, f[n] = f[n-1] + (f^2)[n-1] - (f^2)[n-2], where
+    # (f^2)[n-1] needs only f[0] .. f[n-1]: O(order^2) multiplications.
+    f = [1]
+    sq = []  # sq[m] = (f^2)[m]
+    for n in range(1, order + 1):
+        sq.append(sum(f[i] * f[n - 1 - i] for i in range(n)))
+        f.append(f[n - 1] + sq[n - 1] - (sq[n - 2] if n >= 2 else 0))
+    return f
+
+
+def f_prime_by_convolution(order):
+    # Independent oracle: f' = 1 + xf' + xf'(f - 1 - xf) with f from
+    # f_by_convolution; with g = f - 1 - xf this reads
+    # f'[n] = f'[n-1] + sum f'[i] g[n-1-i] over i < n.
+    f = f_by_convolution(order)
+    g = [f[n] - (f[n - 1] if n else 1) for n in range(order + 1)]
+    fp = [1]
+    for n in range(1, order + 1):
+        fp.append(fp[n - 1] + sum(fp[i] * g[n - 1 - i] for i in range(n)))
+    return fp
+
+
 class TestBinomial:
     def test_values(self):
         assert binomial(4, 2) == 6
@@ -159,6 +183,17 @@ class TestSeries:
                     1 for p in avoiders_of(n + 1, pattern) if is_irreducible(p)
                 )
                 assert fp[n] == irr
+
+    def test_recurrences_match_functional_equations(self):
+        assert list(series_f(300).coefficients) == f_by_convolution(300)
+        assert list(series_f_prime(300).coefficients) == f_prime_by_convolution(300)
+
+    def test_skew_dyck_terms_count_skew_dyck_paths(self, paths_of):
+        from partition_paths.enumeration import _terms
+
+        terms = _terms("skew_dyck", 9)
+        assert terms[:6] == [1, 1, 3, 10, 36, 137]
+        assert terms == [len(paths_of(n, "skew_dyck")) for n in range(10)]
 
     def test_block_count_totals(self):
         f = series_f(8).coefficients

@@ -18,6 +18,8 @@ from partition_paths import (
     generate_paths,
     large_schroder,
     parse_path,
+    series_f,
+    series_f_prime,
     to_odd_peaks,
     to_uh_free,
 )
@@ -91,6 +93,19 @@ def test_large_schroder_matches_catalan_sum():
         for k in range(n + 1)
     )
     assert large_schroder(n) == want
+
+
+def test_series_at_order_2000():
+    # f(n) = sum over k of C(n, k) Cat(k), and the coefficient of x^n in
+    # f' (1 + xf) = f needs O(n) products; both are independent of the
+    # recurrences that series_f and series_f_prime evaluate
+    n = 2000
+    f = series_f(n).coefficients
+    fp = series_f_prime(n).coefficients
+    assert f[n] == sum(
+        math.comb(n, k) * (math.comb(2 * k, k) // (k + 1)) for k in range(n + 1)
+    )
+    assert fp[n] + sum(fp[i] * f[n - 1 - i] for i in range(n)) == f[n]
 
 
 def test_oracle_and_path_generator_do_not_recurse():

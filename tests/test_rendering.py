@@ -131,6 +131,21 @@ class TestDispatch:
         with pytest.raises(InvalidObjectError):
             render(LatticePath("UD"), "png")
 
+    def test_cli_offers_exactly_the_table(self, capsys, monkeypatch):
+        from partition_paths.cli import build_parser, main
+        from partition_paths.rendering import RENDERERS
+
+        assert tuple(RENDERERS) == ("ascii", "svg")
+        # a format added to the table is offered by the CLI and drawn by render
+        monkeypatch.setitem(RENDERERS, "steps", str)
+        actions = build_parser().commands["render"]._actions
+        choices = next(a.choices for a in actions if a.dest == "format")
+        assert tuple(choices) == tuple(RENDERERS)
+        assert main(["render", "--format", "steps", "UHD"]) == 0
+        assert capsys.readouterr().out == "UHD\n"
+        with pytest.raises(InvalidObjectError, match="^unknown render format 'png'$"):
+            render(LatticePath("UD"), "png")
+
     def test_deterministic(self):
         p = LatticePath(REF_PATH)
         assert render_svg(p) == render_svg(p)
