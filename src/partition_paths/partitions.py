@@ -7,6 +7,7 @@ and every letter exceeds the maximum of the letters before it by at most one.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -173,6 +174,15 @@ def generate_partitions(
                 )
 
 
+@lru_cache(maxsize=128)
+def _pattern_facts(pat: tuple) -> tuple:
+    """What :func:`find_pattern` needs to know of a nonempty pattern word,
+    computed once per pattern: whether each letter is the first occurrence of
+    its value, and max(pat) + 1."""
+    first = tuple(t > top for t, top in zip(pat, accumulate(pat, max, initial=0)))
+    return first, max(pat) + 1
+
+
 def find_pattern(p: SetPartition, pattern: SetPartition) -> Optional[tuple]:
     """Return 0-based positions of one occurrence of ``pattern`` in ``p``,
     or None if there is none.
@@ -200,9 +210,9 @@ def find_pattern(p: SetPartition, pattern: SetPartition) -> Optional[tuple]:
         return ()
     if k > n:
         return None
+    first, letters = _pattern_facts(pat)
     last = dict(zip(word, range(n)))  # value -> its last position
-    value = [0] * (max(pat) + 1)  # pattern letter -> matched value; value[0] = 0
-    first = [t > top for t, top in zip(pat, accumulate(pat, max, initial=0))]
+    value = [0] * letters  # pattern letter -> matched value; value[0] = 0
     pos = [0] * k
     i = j = 0  # pattern index, next word position to try for it
     while True:

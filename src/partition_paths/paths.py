@@ -6,6 +6,7 @@ Generation order is lexicographic by step string under U < D < H < L.
 """
 
 from dataclasses import dataclass
+from operator import length_hint
 from typing import Callable, Iterator, Optional
 
 from .errors import DEFAULT_LIMIT, InvalidObjectError, LimitExceededError
@@ -13,6 +14,7 @@ from .errors import DEFAULT_LIMIT, InvalidObjectError, LimitExceededError
 _RISE = {"U": 1, "D": -1, "H": 0, "L": -1}
 _RUN = {"U": 1, "D": 1, "H": 2, "L": -1}
 _HALF_UNITS = {"U": 1, "D": 1, "H": 2, "L": 1}  # twice the semilength a step adds
+_STEPS = "".join(_RISE)
 
 
 @dataclass(frozen=True)
@@ -63,6 +65,22 @@ CLASS_RULES = {
 PATH_CLASSES = tuple(CLASS_RULES)
 
 
+def _height_error(steps: str, complete: bool = True) -> Optional[str]:
+    """The first height rule broken by a string of step letters: dropping
+    below the axis or, if ``complete``, not ending on it."""
+    h = 0
+    rest = iter(steps)
+    for s in rest:
+        h += _RISE[s]
+        if h < 0:
+            # the step just taken is followed by length_hint(rest) others
+            position = len(steps) - length_hint(rest)
+            return f"path drops below the axis at position {position}"
+    if complete and h:
+        return f"path ends at height {h}, expected 0"
+    return None
+
+
 class LatticePath:
     """An immutable step sequence with nonnegative prefix heights.
 
@@ -77,18 +95,14 @@ class LatticePath:
     def __init__(self, steps=""):
         if not isinstance(steps, str):
             steps = "".join(steps)
-        h = 0
-        for i, s in enumerate(steps):
-            rise = _RISE.get(s)
-            if rise is None:
-                raise InvalidObjectError(
-                    f"unknown step character {s!r} at position {i + 1}"
-                )
-            h += rise
-            if h < 0:
-                raise InvalidObjectError(f"path drops below the axis at position {i + 1}")
-        if h != 0:
-            raise InvalidObjectError(f"path ends at height {h}, expected 0")
+        # faults are reported in position order: the heights are walked only
+        # up to the first foreign letter, which is reported if they hold
+        i = len(steps) - len(steps.lstrip(_STEPS))
+        error = _height_error(steps[:i], complete=i == len(steps))
+        if error is None and i < len(steps):
+            error = f"unknown step character {steps[i]!r} at position {i + 1}"
+        if error:
+            raise InvalidObjectError(error)
         self.steps = steps
 
     @classmethod
@@ -238,7 +252,10 @@ def parse_path(text: str, path_class: str = "schroder") -> LatticePath:
     rules = _rules(path_class)
     # a foreign letter is reported as such, before the heights are checked
     _check_alphabet(text, path_class, rules.alphabet)
-    p = LatticePath(text)
+    error = _height_error(text)
+    if error:
+        raise InvalidObjectError(error)
+    p = LatticePath._trusted(text)
     _check_step_rules(p, rules)
     return p
 

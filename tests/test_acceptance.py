@@ -13,6 +13,7 @@ import time
 import tokenize
 from collections import Counter
 from inspect import getsource
+from pathlib import Path
 
 from partition_paths import (
     SetPartition,
@@ -35,6 +36,7 @@ from partition_paths import (
 )
 
 REF_PARTITION = parse_partition("11232343411")
+VERIFY_N8 = Path(__file__).with_name("verify_n8.txt")  # the whole expected stdout
 PATTERNS = ("12312", "12321")
 
 
@@ -184,7 +186,7 @@ def test_criterion_8_verify_command_and_exact_arithmetic():
     )
     dt = time.perf_counter() - t0
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "FAIL" not in proc.stdout
+    assert proc.stdout == VERIFY_N8.read_text()
     assert dt < 120, f"verify --max-n 8 took {dt:.1f} s, budget is 120 s"
 
     # no lossy conversion path exists in the counting code: its source has

@@ -1,12 +1,14 @@
 import io
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
 from partition_paths import avoids, generate_partitions, parse_partition, parse_path
-from partition_paths.cli import main
+from partition_paths import bijections, enumeration, paths, rendering
+from partition_paths.cli import LIMIT_ENV_VAR, main
 
 
 def run(capsys, *argv):
@@ -316,6 +318,75 @@ class TestVerify:
         assert out.splitlines()[-1] == "1/2 checks passed"
 
 
+class TestVerifyCatchesBrokenMaps:
+    """verify evaluates each round trip in one direction only; a map broken
+    in either direction still fails a check, at the smallest n it shows."""
+
+    @staticmethod
+    def failures(monkeypatch, name, broken):
+        import partition_paths.verify as verify_mod
+
+        monkeypatch.setattr(bijections, name, broken(getattr(bijections, name)))
+        return [(r.name, r.failure) for r in verify_mod.run_checks(8) if not r.ok]
+
+    def test_decode_wrong_on_one_path(self, monkeypatch):
+        def broken(decode):
+            def wrong(q, pattern="12312"):
+                if q.steps == "UUDD":
+                    return parse_partition("112")
+                return decode(q, pattern)
+
+            return wrong
+
+        message = "n=2: decode(encode(1,2,1)) roundtrip fails"
+        assert self.failures(monkeypatch, "decode", broken) == [
+            ("encode-decode-12312", message),
+            ("encode-decode-12321", message),
+        ]
+
+    def test_encode_sending_two_avoiders_to_one_path(self, monkeypatch):
+        def broken(encode):
+            def wrong(p, pattern="12312"):
+                if p.word == (1, 2, 1):
+                    p = parse_partition("112")
+                return encode(p, pattern)
+
+            return wrong
+
+        message = "n=2: decode(encode(1,2,1)) roundtrip fails"
+        assert self.failures(monkeypatch, "encode", broken) == [
+            ("encode-decode-12312", message),
+            ("encode-decode-12321", message),
+        ]
+
+    def test_to_uh_free_wrong_on_one_path(self, monkeypatch):
+        def broken(to_uh_free):
+            def wrong(q):
+                return parse_path("HUD") if q.steps == "UHD" else to_uh_free(q)
+
+            return wrong
+
+        assert self.failures(monkeypatch, "to_uh_free", broken) == [
+            ("odd-peak-rewrite-bijection", "n=2: backward rewrite fails on UHD"),
+        ]
+
+    def test_to_odd_peaks_leaving_the_target_class(self, monkeypatch):
+        def broken(to_odd_peaks):
+            def wrong(p):
+                return parse_path("UUDD") if p.steps == "HH" else to_odd_peaks(p)
+
+            return wrong
+
+        # the backward map rejects the even peak at its entry
+        assert self.failures(monkeypatch, "to_odd_peaks", broken) == [
+            (
+                "odd-peak-rewrite-bijection",
+                "raised PreconditionError: to_uh_free expects no peak at even "
+                "level; peak at even level 2 at position 2",
+            ),
+        ]
+
+
 class TestUsage:
     def test_unknown_command_exits_64(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -395,6 +466,102 @@ class TestUsage:
         assert proc.wait(timeout=60) == 1
         assert first == b"1,1,1,1,1,1,1,1,1,1,1\n"
         assert err == b""
+
+
+def _random_invocation(rng, tmp_path):
+    """A random argv for any subcommand, the text on stdin and the value of
+    the size-limit variable (None to leave it unset); valid words and
+    options are mixed with wrong ones, and every size stays small."""
+
+    def pick(*options):
+        return rng.choice(options)
+
+    def word():
+        c = rng.random()
+        if c < 0.4:  # a restricted growth string, or close to one
+            out, mx = [], 0
+            for _ in range(rng.randint(0, 6)):
+                slip = rng.random() < 0.1  # a letter that breaks restricted growth
+                out.append(rng.randint(0, mx + 2) if slip else rng.randint(1, mx + 1))
+                mx = max(mx, out[-1])
+            return pick("", ",").join(map(str, out))
+        if c < 0.8:  # steps, mostly balanced
+            steps = "".join(rng.choice("UDHL") for _ in range(rng.randint(0, 10)))
+            return steps + "D" * max(0, steps.count("U") - steps.count("D"))
+        return "".join(rng.choice("UDHLX12, -") for _ in range(rng.randint(0, 8)))
+
+    def words():
+        return [word() for _ in range(rng.randint(0, 3))]
+
+    def fmt(*formats):
+        return ["--format", pick(*formats, "xml")] if rng.random() < 0.3 else []
+
+    commands = ("list", "count", "map", "check", "render", "series", "verify")
+    command = pick(*commands) if rng.random() < 0.97 else "bogus"
+    argv = [command]
+    if command in ("list", "count"):
+        argv += [pick("partitions", "paths", "graphs"), str(rng.randint(-1, 6))]
+        if rng.random() < 0.3:
+            argv += ["--pattern", pick("12312", "12321", "1,2,1,2", "121", word())]
+        if rng.random() < 0.3:
+            argv += ["--class", pick(*paths.PATH_CLASSES, "motzkin")]
+        if rng.random() < 0.2:
+            argv += ["--max-n", str(rng.randint(-1, 3))]
+        argv += fmt("text", "json")
+    elif command == "map":
+        argv += [pick(*bijections.MAPS, "rho")]
+        if rng.random() < 0.5:
+            argv += [pick("forward", "inverse")]
+        argv += words()
+        if rng.random() < 0.3:
+            argv += ["--direction", pick("forward", "inverse", "sideways")]
+        argv += fmt("text", "json")
+    elif command == "check":
+        argv += [pick("partition", "path", "graph"), *words()]
+        argv += fmt("text", "json")
+    elif command == "render":
+        argv += words()
+        if rng.random() < 0.3:
+            argv += ["--class", pick(*paths.PATH_CLASSES)]
+        argv += fmt(*rendering.RENDERERS)
+    elif command == "series":
+        argv += [pick(*enumeration.SERIES, "catalan")]
+        argv += ["--order", str(rng.randint(-1, 40))]
+        argv += fmt("text", "json")
+    elif command == "verify":
+        argv += ["--max-n", str(rng.randint(-1, 3))]
+        argv += fmt("text", "json")
+    if rng.random() < 0.05:
+        argv += [pick("--out", "--frobnicate", "-q")]
+    if rng.random() < 0.2:
+        out = pick(tmp_path / "out.txt", tmp_path / "missing" / "x", tmp_path)
+        argv += ["--out", str(out)]
+    stdin = "\n".join(words())
+    limit = pick("3", "-1", "many") if rng.random() < 0.15 else None
+    return argv, stdin, limit
+
+
+def test_random_invocations_keep_the_exit_code_contract(capsys, monkeypatch, tmp_path):
+    rng = random.Random(20081)
+    for _ in range(400):
+        argv, stdin, limit = _random_invocation(rng, tmp_path)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        if limit is None:
+            monkeypatch.delenv(LIMIT_ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(LIMIT_ENV_VAR, limit)
+        case = f"argv={argv!r} stdin={stdin!r} {LIMIT_ENV_VAR}={limit!r}"
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:
+            pytest.fail(f"{case} raised {type(exc).__name__}: {exc}")
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2, 3, 64), case
+        assert "Traceback" not in err, case
+        if code == 64:
+            assert out == "", case
 
 
 class TestDeterminism:

@@ -55,6 +55,21 @@ class TestParse:
         with pytest.raises(InvalidObjectError, match="ends at height 2"):
             parse_path("UU", "dyck")
 
+    @pytest.mark.parametrize(
+        "steps, message",
+        [
+            ("DX", "path drops below the axis at position 1"),
+            ("UXD", "unknown step character 'X' at position 2"),
+            ("UU", "path ends at height 2, expected 0"),
+        ],
+    )
+    def test_constructor_reports_the_first_fault_in_position_order(
+        self, steps, message
+    ):
+        with pytest.raises(InvalidObjectError) as exc:
+            LatticePath(steps)
+        assert str(exc.value) == message
+
     def test_uh_free_violation(self):
         with pytest.raises(InvalidObjectError, match="horizontal step at position 1"):
             parse_path("UHD", "uh_free")
