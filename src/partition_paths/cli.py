@@ -1,8 +1,10 @@
 """Command-line front end: list / count / map / check / render / series / verify.
 
-Output is line-oriented and byte-deterministic for a fixed invocation, so
-commands compose in shell pipelines.  Exit codes: 0 success, 1 invalid input
-object (or standard output closed by its reader), 2 precondition violation,
+Each subcommand's runner yields records lazily; :func:`main` alone parses,
+dispatches, writes the records and chooses the exit code.  Output is
+line-oriented and byte-deterministic for a fixed invocation, so commands
+compose in shell pipelines.  Exit codes: 0 success, 1 invalid input object
+(or standard output closed by its reader), 2 precondition violation,
 3 verification failure, 64 usage error (including an --out path that cannot
 be written).
 """
@@ -22,12 +24,39 @@ from .errors import (
 
 USAGE_ERROR = 64
 LIMIT_ENV_VAR = "PARTITION_PATHS_MAX_N"
+_DIRECTIONS = ("forward", "inverse")
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
+
+
+class _ChecksFailed(Exception):
+    """Raised by a runner after its last record when a check failed (exit 3)."""
+
+
+def _selection_misuse(args):
+    if args.n < 0:
+        return "n must be non-negative"
+    if args.kind == "paths" and args.pattern is not None:
+        return "--pattern applies only to partitions"
+    if args.kind == "partitions" and args.path_class is not None:
+        return "--class applies only to paths"
+
+
+def _map_misuse(args):
+    """Moves a leading direction word to --direction; a clash is a misuse."""
+    if args.objects and args.objects[0] in _DIRECTIONS:
+        word = args.objects.pop(0)
+        if args.direction not in (None, word):
+            return f"direction given twice: {word} and --direction {args.direction}"
+        args.direction = word
+
+
+def _non_negative(dest, flag):
+    return lambda a: f"{flag} must be non-negative" if getattr(a, dest) < 0 else None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -38,11 +67,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, formats=("text", "json")):
+    def common(sp, run, misuse=lambda args: None, formats=("text", "json")):
+        # run(args) yields the records; misuse(args) names a misuse, or is None
+        sp.set_defaults(run=run, misuse=misuse)
         sp.add_argument("--format", choices=formats, default=formats[0])
         sp.add_argument("--out", metavar="PATH", help="write output to a file")
 
-    for cmd in ("list", "count"):
+    for cmd, run in (("list", _run_list), ("count", _run_count)):
         sp = sub.add_parser(cmd, help=f"{cmd} partitions or paths of a given size")
         sp.add_argument("kind", choices=("partitions", "paths"))
         sp.add_argument("n", type=int)
@@ -51,11 +82,10 @@ def build_parser() -> argparse.ArgumentParser:
             "--class",
             dest="path_class",
             choices=paths.PATH_CLASSES,
-            default=None,
             help="path class (default: schroder)",
         )
         sp.add_argument("--max-n", type=int, default=None, help="exhaustive limit")
-        common(sp)
+        common(sp, run, _selection_misuse)
 
     sp = sub.add_parser("map", help="apply a bijection to each input object")
     sp.add_argument("name", choices=tuple(bijections.MAPS))
@@ -65,58 +95,53 @@ def build_parser() -> argparse.ArgumentParser:
         help="optional leading 'forward' or 'inverse', then objects; "
         "objects are read from stdin when none are given",
     )
-    sp.add_argument("--direction", choices=("forward", "inverse"), default="forward")
-    common(sp)
+    sp.add_argument("--direction", choices=_DIRECTIONS, help="default: forward")
+    common(sp, _run_map, _map_misuse)
 
     sp = sub.add_parser("check", help="report the predicate record of each object")
     sp.add_argument("kind", choices=("partition", "path"))
     sp.add_argument("objects", nargs="*")
-    common(sp)
+    common(sp, _run_check)
 
     sp = sub.add_parser("render", help="draw each input path")
     sp.add_argument("objects", nargs="*")
-    sp.add_argument(
-        "--class", dest="path_class", choices=paths.PATH_CLASSES, default=None
-    )
-    common(sp, formats=tuple(rendering.RENDERERS))
+    sp.add_argument("--class", dest="path_class", choices=paths.PATH_CLASSES)
+    common(sp, _run_render, formats=tuple(rendering.RENDERERS))
 
     sp = sub.add_parser("series", help="print counting-series coefficients")
     sp.add_argument("identifier", choices=tuple(enumeration.SERIES))
     sp.add_argument("--order", type=int, default=32)
-    common(sp)
+    common(sp, _run_series, _non_negative("order", "--order"))
 
     sp = sub.add_parser("verify", help="run the cross-module identity suite")
     sp.add_argument("--max-n", type=int, default=6)
-    common(sp)
+    common(sp, _run_verify, _non_negative("max_n", "--max-n"))
 
-    # each subcommand's own parser, so that a misused option is reported
-    # with that subcommand's usage line
+    # the subcommands' own parsers, which main parses with: options may stand
+    # among the objects, and a misuse is reported with its command's usage
     parser.commands = sub.choices
     return parser
 
 
 def _limit(args) -> int:
-    if getattr(args, "max_n", None) is not None:
+    if args.max_n is not None:
         return args.max_n
-    env = os.environ.get(LIMIT_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise LimitExceededError(
-                f"{LIMIT_ENV_VAR} must be an integer, got {env!r}"
-            ) from None
-    return DEFAULT_LIMIT
+    env = os.environ.get(LIMIT_ENV_VAR, DEFAULT_LIMIT)
+    try:
+        return int(env)
+    except ValueError:
+        raise LimitExceededError(
+            f"{LIMIT_ENV_VAR} must be an integer, got {env!r}"
+        ) from None
 
 
 def _input_objects(args) -> list:
-    if args.objects:
-        return list(args.objects)
-    return sys.stdin.read().splitlines()
+    return args.objects or sys.stdin.read().splitlines()
 
 
 _STEP_LETTERS = set("".join(r.alphabet for r in paths.CLASS_RULES.values()))
 _INFERRED = [(c, set(paths.CLASS_RULES[c].alphabet)) for c in ("schroder", "skew_dyck")]
+_DYCK_STEPS = set(paths.CLASS_RULES["dyck"].alphabet)
 
 
 def _infer_path_class(text: str) -> str:
@@ -147,44 +172,29 @@ def _selected(args):
             return partitions.generate_partitions(
                 args.n, limit=_limit(args), avoiding=name
             )
-    return (
-        p
-        for p in partitions.generate_partitions(args.n, limit=_limit(args))
-        if partitions.avoids(p, pattern)
-    )
+    everything = partitions.generate_partitions(args.n, limit=_limit(args))
+    return (p for p in everything if partitions.avoids(p, pattern))
 
 
-def _run_list(args, out) -> int:
-    for obj in _selected(args):
-        text = str(obj)
-        out.write(json.dumps(text) if args.format == "json" else text)
-        out.write("\n")
-    return 0
+def _run_list(args):
+    return map(str, _selected(args))
 
 
-def _run_count(args, out) -> int:
-    out.write(f"{sum(1 for _ in _selected(args))}\n")
-    return 0
+def _run_count(args):
+    yield sum(1 for _ in _selected(args))
 
 
-def _run_map(args, out) -> int:
-    direction = args.direction
-    if args.objects and args.objects[0] in ("forward", "inverse"):
-        direction = args.objects.pop(0)
+def _run_map(args):
     bijection = bijections.MAPS[args.name]
-    if direction == "forward":
-        fn, takes = bijection.forward, bijection.forward_input
-    else:
+    if args.direction == "inverse":
         fn, takes = bijection.inverse, "path"
+    else:
+        fn, takes = bijection.forward, bijection.forward_input
     parse = partitions.parse_partition if takes == "partition" else paths.parse_path
-    for text in _input_objects(args):
-        result = str(fn(parse(text)))
-        out.write(json.dumps(result) if args.format == "json" else result)
-        out.write("\n")
-    return 0
+    return map(str, map(fn, map(parse, _input_objects(args))))
 
 
-def _run_check(args, out) -> int:
+def _run_check(args):
     fast = [(f"avoids_{k}", v.avoids_fast) for k, v in partitions.FAST_PATTERNS.items()]
     for text in _input_objects(args):
         if args.kind == "partition":
@@ -196,130 +206,93 @@ def _run_check(args, out) -> int:
         else:
             cls = _infer_path_class(text)
             p = paths.parse_path(text, cls)
-            flags = paths.classify(p)
             record = {
                 "object": str(p),
-                "family": (
-                    "dyck"
-                    if set(p.steps) <= set(paths.CLASS_RULES["dyck"].alphabet)
-                    else cls
-                ),
+                "family": "dyck" if set(p.steps) <= _DYCK_STEPS else cls,
                 "semilength": p.semilength,
                 "peaks": len(paths.peaks(p)),
-                "uh_free": flags.uh_free,
-                "no_even_peak": flags.no_even_peak,
-                "no_level_one_peak": flags.no_level_one_peak,
-                "ends_with_down": flags.ends_with_down,
+                **vars(paths.classify(p)),
             }
-        if args.format == "json":
-            out.write(json.dumps(record))
-        else:
-            out.write(
-                " ".join(
-                    f"{k}={str(v).lower() if isinstance(v, bool) else v}"
-                    for k, v in record.items()
-                )
-            )
-        out.write("\n")
-    return 0
+        yield record
 
 
-def _run_render(args, out) -> int:
-    first = True
-    for text in _input_objects(args):
-        cls = args.path_class or _infer_path_class(text)
-        p = paths.parse_path(text, cls)
-        if not first:
-            out.write("\n")
-        out.write(rendering.render(p, args.format))
-        out.write("\n")
-        first = False
-    return 0
+def _run_render(args):
+    for i, text in enumerate(_input_objects(args)):
+        p = paths.parse_path(text, args.path_class or _infer_path_class(text))
+        if i:
+            yield ""  # a blank line between two drawings
+        yield rendering.render(p, args.format)
 
 
-def _run_series(args, out) -> int:
-    table = enumeration.series(args.identifier, args.order)
+def _run_series(args):
+    coefficients = enumeration.series(args.identifier, args.order).coefficients
     if args.format == "json":
-        out.write(json.dumps(list(table.coefficients)))
-        out.write("\n")
+        yield list(coefficients)
     else:
-        for i, value in enumerate(table.coefficients):
-            out.write(f"{i} {value}\n")
-    return 0
+        yield from (f"{i} {value}" for i, value in enumerate(coefficients))
 
 
-def _run_verify(args, out) -> int:
+def _run_verify(args):
     results = verify.run_checks(args.max_n)
-    failed = [r for r in results if not r.ok]
+    passed = sum(r.ok for r in results)
     if args.format == "json":
-        out.write(
-            json.dumps(
-                [
-                    {"name": r.name, "max_n": r.max_n, "ok": r.ok, "failure": r.failure}
-                    for r in results
-                ]
-            )
-        )
-        out.write("\n")
+        yield [
+            {"name": r.name, "max_n": r.max_n, "ok": r.ok, "failure": r.failure}
+            for r in results
+        ]
     else:
         for r in results:
             if r.ok:
-                out.write(f"PASS {r.name} (n <= {r.max_n})\n")
+                yield f"PASS {r.name} (n <= {r.max_n})"
             else:
-                out.write(f"FAIL {r.name}: {r.failure}\n")
-        out.write(f"{len(results) - len(failed)}/{len(results)} checks passed\n")
-    return 3 if failed else 0
+                yield f"FAIL {r.name}: {r.failure}"
+        yield f"{passed}/{len(results)} checks passed"
+    if passed < len(results):
+        raise _ChecksFailed
 
 
-_RUNNERS = {
-    "list": _run_list,
-    "count": _run_count,
-    "map": _run_map,
-    "check": _run_check,
-    "render": _run_render,
-    "series": _run_series,
-    "verify": _run_verify,
-}
+def _write(records, out, fmt) -> None:
+    """The one writer: each record and a newline, as JSON, or as text with a
+    dict as key=value pairs and lower-case booleans.  The closing flush
+    reports a reader that closed stdout while main can still handle it."""
+    try:
+        for record in records:
+            if fmt == "json":
+                record = json.dumps(record)
+            elif isinstance(record, dict):
+                record = " ".join(
+                    f"{k}={str(v).lower() if isinstance(v, bool) else v}"
+                    for k, v in record.items()
+                )
+            out.write(str(record))
+            out.write("\n")
+    finally:
+        out.flush()
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args, extra = parser.parse_known_args(argv)
-    if extra:
-        # argparse will not resume a positional list after an interleaved
-        # option ("map psi --direction inverse UHD"); fold the stragglers in
-        if hasattr(args, "objects") and all(not t.startswith("-") for t in extra):
-            args.objects = list(args.objects) + extra
-        else:
-            parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    usage_error = parser.commands[args.command].error
-    if args.command in ("list", "count"):
-        if args.n < 0:
-            usage_error("n must be non-negative")
-        if args.kind == "paths" and args.pattern is not None:
-            usage_error("--pattern applies only to partitions")
-        if args.kind == "partitions" and args.path_class is not None:
-            usage_error("--class applies only to paths")
-    if args.command == "series" and args.order < 0:
-        usage_error("--order must be non-negative")
-    if args.command == "verify" and args.max_n < 0:
-        usage_error("--max-n must be non-negative")
-    runner = _RUNNERS[args.command]
+    argv = sys.argv[1:] if argv is None else argv
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:  # --help, or a missing or unknown subcommand
+        command, args = parser, parser.parse_args(argv)
+    else:
+        args = command.parse_intermixed_args(argv[1:])
+    if misuse := args.misuse(args):
+        command.error(misuse)
     try:
-        if args.out:
-            try:
-                out = open(args.out, "w")
-            except OSError as exc:
-                print(
-                    f"partition-paths: cannot write {args.out}: {exc.strerror}",
-                    file=sys.stderr,
-                )
-                return USAGE_ERROR
-            with out:
-                return runner(args, out)
-        code = runner(args, sys.stdout)
-        sys.stdout.flush()
-        return code
+        out = open(args.out, "w") if args.out else sys.stdout
+    except OSError as exc:
+        print(
+            f"partition-paths: cannot write {args.out}: {exc.strerror}",
+            file=sys.stderr,
+        )
+        return USAGE_ERROR
+    try:
+        # called only now, so that no runner starts before the output is open
+        _write(args.run(args), out, args.format)
+    except _ChecksFailed:
+        return 3
     except BrokenPipeError:
         # The reader closed stdout (as `| head` does).  Point stdout at
         # devnull so that the interpreter's final flush cannot fail again,
@@ -335,6 +308,10 @@ def main(argv=None) -> int:
     except InvalidObjectError as exc:
         print(f"partition-paths: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if args.out:
+            out.close()
+    return 0
 
 
 if __name__ == "__main__":

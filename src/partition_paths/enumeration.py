@@ -34,10 +34,10 @@ def count_blocks(n: int, k: int) -> int:
     beyond the first becomes a peak, and a path with j non-horizontal ascent
     units and k peaks arises from a Dyck path of semilength j by inserting
     n - j horizontal steps.  For k = 0 the only partition is the all-ones
-    word.
+    word.  Out of range, as for n < 0, the count is 0.
     """
     if k == 0:
-        return 1
+        return 1 if n >= 0 else 0
     return sum(narayana(j, k) * binomial(n, j) for j in range(k, n + 1))
 
 
@@ -121,6 +121,10 @@ class SeriesTable:
         return len(self.coefficients) - 1
 
     def coefficient(self, n: int) -> int:
+        if not 0 <= n <= self.order:
+            raise IndexError(
+                f"n={n} is outside 0..{self.order}, the order of {self.identifier}"
+            )
         return self.coefficients[n]
 
 

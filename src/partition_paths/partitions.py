@@ -17,7 +17,7 @@ from .errors import DEFAULT_LIMIT, InvalidObjectError, LimitExceededError
 def _letter_error(i: int, c, mx: int) -> str:
     """Why the letter c may not stand at 0-based position i of a word whose
     earlier letters have maximum mx."""
-    if not isinstance(c, int) or c < 1:
+    if not isinstance(c, int) or isinstance(c, bool) or c < 1:
         return f"letter at position {i + 1} is not a positive integer: {c!r}"
     return (
         f"restricted-growth violation at position {i + 1}: "
@@ -38,7 +38,7 @@ class SetPartition:
         word = tuple(word)
         mx = 0
         for i, c in enumerate(word):
-            if not (isinstance(c, int) and 0 < c <= mx + 1):
+            if isinstance(c, bool) or not (isinstance(c, int) and 0 < c <= mx + 1):
                 raise InvalidObjectError(_letter_error(i, c, mx))
             if c > mx:
                 mx = c

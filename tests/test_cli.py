@@ -38,6 +38,11 @@ class TestMap:
         assert code == 0
         assert out == "UUDD\n"
 
+    def test_same_direction_given_twice(self, capsys):
+        # two directions that differ are a usage error (TestUsage)
+        argv = ("map", "sigma", "forward", "1,2", "--direction", "forward")
+        assert run(capsys, *argv) == (0, "UD\n", "")
+
     def test_psi_forward(self, capsys):
         code, out, _ = run(capsys, "map", "psi", "forward", "UUUDDHUDDUD")
         assert out == "UHUHUDDDUD\n"
@@ -435,6 +440,18 @@ class TestUsage:
             (["list", "partitions", "-1"], "n must be non-negative"),
             (["list", "paths", "2", "--pattern", "12312"], "--pattern applies only"),
             (["count", "partitions", "2", "--class", "dyck"], "--class applies only"),
+            (
+                ["list", "partitions", "3", "--frobnicate"],
+                "unrecognized arguments: --frobnicate",
+            ),
+            (
+                ["map", "sigma", "forward", "1,2", "--direction", "inverse"],
+                "direction given twice: forward and --direction inverse",
+            ),
+            (
+                ["map", "sigma", "--direction", "forward", "inverse", "UD"],
+                "direction given twice: inverse and --direction forward",
+            ),
         ],
     )
     def test_misuse_prints_the_subcommand_usage(self, capsys, argv, message):

@@ -88,6 +88,11 @@ class TestRefinedCounts:
     def test_diagonal(self):
         assert count_blocks(4, 4) == 1
 
+    def test_negative_size_is_zero(self):
+        # out of range is 0, as for binomial and narayana, in every column
+        for n in (-1, -2, -7):
+            assert [count_blocks(n, k) for k in range(-1, 3)] == [0, 0, 0, 0]
+
     def test_uhfree_small_values(self, paths_of):
         # 5 UH-free paths of semilength 2: HH has no peak, UDUD has two,
         # the other three have one
@@ -121,6 +126,13 @@ class TestSeries:
     def test_default_order(self):
         assert series_f().order == 32
         assert len(series_f().coefficients) == 33
+
+    @pytest.mark.parametrize("n", [-1, -6, 6, 7])
+    def test_coefficient_outside_the_order_raises(self, n):
+        # a negative n must not index from the end of the table
+        with pytest.raises(IndexError, match=f"n={n} is outside 0..5, the order of f"):
+            series_f(5).coefficient(n)
+        assert series_f(5).coefficient(0) == 1 and series_f(5).coefficient(5) == 188
 
     def test_f_satisfies_its_equation(self):
         order = 12

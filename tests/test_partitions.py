@@ -59,6 +59,16 @@ class TestParse:
         with pytest.raises(InvalidObjectError, match="syntax"):
             parse_partition("1,x,2")
 
+    @pytest.mark.parametrize(
+        "word, position", [([True], 1), ((1, True), 2), ((1, False), 2)]
+    )
+    def test_bool_letters_rejected(self, word, position):
+        # bool is an int subclass, but True is no block index: str would
+        # print a word that parse_partition rejects
+        message = f"letter at position {position} is not a positive integer"
+        with pytest.raises(InvalidObjectError, match=message):
+            SetPartition(word)
+
     def test_empty_text_is_empty_partition(self):
         p = parse_partition("")
         assert p.n == 0 and p.block_count == 0
