@@ -26,6 +26,7 @@ from .enumeration import (
 from .errors import (
     DEFAULT_LIMIT,
     InvalidObjectError,
+    LibraryError,
     LimitExceededError,
     PreconditionError,
 )

@@ -18,11 +18,18 @@ from . import bijections, enumeration, partitions, paths, rendering, verify
 from .errors import (
     DEFAULT_LIMIT,
     InvalidObjectError,
+    LibraryError,
     LimitExceededError,
     PreconditionError,
 )
 
 USAGE_ERROR = 64
+# the exit code of each library error
+EXIT_CODES = {
+    InvalidObjectError: 1,
+    PreconditionError: 2,
+    LimitExceededError: USAGE_ERROR,
+}
 LIMIT_ENV_VAR = "PARTITION_PATHS_MAX_N"
 _DIRECTIONS = ("forward", "inverse")
 
@@ -299,15 +306,9 @@ def main(argv=None) -> int:
         # and exit 1 quietly, as the Python docs on SIGPIPE recommend.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except LimitExceededError as exc:
+    except LibraryError as exc:
         print(f"partition-paths: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except PreconditionError as exc:
-        print(f"partition-paths: {exc}", file=sys.stderr)
-        return 2
-    except InvalidObjectError as exc:
-        print(f"partition-paths: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_CODES[type(exc)]
     finally:
         if args.out:
             out.close()

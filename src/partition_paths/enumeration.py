@@ -8,6 +8,8 @@ floating point and no radical evaluation anywhere.
 import math
 from dataclasses import dataclass
 
+from .errors import InvalidObjectError, require_size
+
 
 def binomial(n: int, k: int) -> int:
     """C(n, k), with 0 for out-of-range arguments."""
@@ -76,8 +78,7 @@ def _terms(name: str, order: int) -> list:
     exact divisor, from the terms s = [s(0), .., s(n-1)] before it.  Each row
     is the coefficient of x^n in a linear ODE with polynomial coefficients that
     the square root in the sequence's closed form obeys, where s(n) = [x^n] s."""
-    if order < 0:
-        raise ValueError("truncation order must be non-negative")
+    require_size(order, "truncation order")
     first, step = _RECURRENCES[name]
     terms = list(first[: order + 1])
     for n in range(len(first), order + 1):
@@ -87,13 +88,13 @@ def _terms(name: str, order: int) -> list:
 
 def large_schroder(n: int) -> int:
     """The number of Schroder paths of semilength n."""
+    require_size(n, "n")
     return _terms("schroder", n)[-1]
 
 
 def bell_numbers(order: int) -> list:
     """Bell numbers B(0) .. B(order), by the Bell triangle."""
-    if order < 0:
-        raise ValueError("truncation order must be non-negative")
+    require_size(order, "truncation order")
     out = [1]
     row = [1]
     for _ in range(order):
@@ -106,6 +107,7 @@ def bell_numbers(order: int) -> list:
 
 
 def bell_number(n: int) -> int:
+    require_size(n, "n")
     return bell_numbers(n)[n]
 
 
@@ -149,9 +151,8 @@ SERIES = {
 
 def series(identifier: str, order: int = 32) -> SeriesTable:
     """Series lookup by name in :data:`SERIES`: f, f_prime, schroder or bell."""
-    if order < 0:
-        raise ValueError("truncation order must be non-negative")
+    require_size(order, "truncation order")
     build = SERIES.get(identifier)
     if build is None:
-        raise ValueError(f"unknown series {identifier!r}")
+        raise InvalidObjectError(f"unknown series {identifier!r}")
     return build(order)

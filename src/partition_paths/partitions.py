@@ -9,27 +9,19 @@ and every letter exceeds the maximum of the letters before it by at most one.
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
+from operator import length_hint
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from .errors import DEFAULT_LIMIT, InvalidObjectError, LimitExceededError
-
-
-def _letter_error(i: int, c, mx: int) -> str:
-    """Why the letter c may not stand at 0-based position i of a word whose
-    earlier letters have maximum mx."""
-    if not isinstance(c, int) or isinstance(c, bool) or c < 1:
-        return f"letter at position {i + 1} is not a positive integer: {c!r}"
-    return (
-        f"restricted-growth violation at position {i + 1}: "
-        f"{c} exceeds previous maximum {mx} by more than one"
-    )
+from .errors import DEFAULT_LIMIT, InvalidObjectError, require_size
 
 
 class SetPartition:
     """An immutable set partition of [n] in canonical word form.
 
     The empty word represents the partition of the empty set; it is a valid
-    value but lies outside the domain of the path bijections.
+    value but lies outside the domain of the path bijections.  The
+    constructor is the one check of restricted growth; each letter must be a
+    plain int (not a bool or another int subclass, whose str is no word).
     """
 
     __slots__ = ("word",)
@@ -37,9 +29,19 @@ class SetPartition:
     def __init__(self, word=()):
         word = tuple(word)
         mx = 0
-        for i, c in enumerate(word):
-            if isinstance(c, bool) or not (isinstance(c, int) and 0 < c <= mx + 1):
-                raise InvalidObjectError(_letter_error(i, c, mx))
+        rest = iter(word)
+        for c in rest:
+            if type(c) is not int or not 0 < c <= mx + 1:
+                # c is letter i (from 1), followed by length_hint(rest) others
+                i = len(word) - length_hint(rest)
+                if type(c) is not int or c < 1:
+                    raise InvalidObjectError(
+                        f"letter at position {i} is not a positive integer: {c!r}"
+                    )
+                raise InvalidObjectError(
+                    f"restricted-growth violation at position {i}: "
+                    f"{c} exceeds previous maximum {mx} by more than one"
+                )
             if c > mx:
                 mx = c
         self.word = word
@@ -90,8 +92,8 @@ def parse_partition(text: str) -> SetPartition:
     string when every index is a single digit (so "1,1,2" and "112" name the
     same partition).  The empty string parses to the empty partition.
 
-    One pass checks the syntax and the restricted growth of each letter; a
-    syntax error anywhere is reported before the first growth error.
+    Only the syntax is checked here, so a syntax error anywhere is reported
+    before the first growth error, which :class:`SetPartition` reports.
     """
     text = text.strip()
     if not text:
@@ -102,26 +104,14 @@ def parse_partition(text: str) -> SetPartition:
         tokens = text
     else:
         raise InvalidObjectError(f"syntax error in partition: {text!r}")
-    letters = []
-    mx = 0
-    error = None
-    for i, token in enumerate(tokens):
-        if not token.isdecimal():
-            token = token.strip()
+    if not all(map(str.isdecimal, tokens)):
+        tokens = [token.strip() for token in tokens]
+        for i, token in enumerate(tokens):
             if not token.isdecimal():
                 raise InvalidObjectError(
                     f"syntax error in partition at token {i + 1}: {token!r}"
                 )
-        c = int(token)
-        if error is None:
-            if not 0 < c <= mx + 1:
-                error = _letter_error(i, c, mx)
-            elif c > mx:
-                mx = c
-        letters.append(c)
-    if error is not None:
-        raise InvalidObjectError(error)
-    return SetPartition._trusted(tuple(letters))
+    return SetPartition(map(int, tokens))
 
 
 def generate_partitions(
@@ -138,10 +128,7 @@ def generate_partitions(
     is spent on partitions that are not emitted.  Words are built only as
     restricted growth strings and are not validated again.
     """
-    if n < 0:
-        raise InvalidObjectError("partition size must be non-negative")
-    if n > limit:
-        raise LimitExceededError(f"n={n} exceeds the exhaustive limit {limit}")
+    require_size(n, "partition size", limit)
     if avoiding is None:
         rules_out = _rules_out_nothing
     elif avoiding in FAST_PATTERNS:

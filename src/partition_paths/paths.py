@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from operator import length_hint
 from typing import Callable, Iterator, Optional
 
-from .errors import DEFAULT_LIMIT, InvalidObjectError, LimitExceededError
+from .errors import DEFAULT_LIMIT, InvalidObjectError, require_size
 
 _RISE = {"U": 1, "D": -1, "H": 0, "L": -1}
 _RUN = {"U": 1, "D": 1, "H": 2, "L": -1}
@@ -273,10 +273,7 @@ def generate_paths(
     and lets every leaf end on it, so leaves are not validated again.
     """
     rules = _rules(path_class)
-    if n < 0:
-        raise InvalidObjectError("semilength must be non-negative")
-    if n > limit:
-        raise LimitExceededError(f"n={n} exceeds the exhaustive limit {limit}")
+    require_size(n, "semilength", limit)
 
     # steps in decreasing order, so that pushed children pop in increasing order
     follow = {

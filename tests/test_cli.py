@@ -6,8 +6,17 @@ import sys
 
 import pytest
 
-from partition_paths import avoids, generate_partitions, parse_partition, parse_path
-from partition_paths import bijections, enumeration, paths, rendering
+from partition_paths import (
+    InvalidObjectError,
+    LibraryError,
+    LimitExceededError,
+    PreconditionError,
+    avoids,
+    generate_partitions,
+    parse_partition,
+    parse_path,
+)
+from partition_paths import bijections, cli, enumeration, paths, rendering
 from partition_paths.cli import LIMIT_ENV_VAR, main
 
 
@@ -483,6 +492,27 @@ class TestUsage:
         assert proc.wait(timeout=60) == 1
         assert first == b"1,1,1,1,1,1,1,1,1,1,1\n"
         assert err == b""
+
+
+class TestLibraryErrors:
+    @pytest.mark.parametrize(
+        "error, code",
+        [(InvalidObjectError, 1), (PreconditionError, 2), (LimitExceededError, 64)],
+    )
+    def test_exit_code_and_one_stderr_line(self, capsys, monkeypatch, error, code):
+        def raising(args):
+            yield "0 1"
+            raise error("synthetic failure")
+
+        monkeypatch.setattr(cli, "_run_series", raising)
+        assert run(capsys, "series", "f") == (
+            code,
+            "0 1\n",
+            "partition-paths: synthetic failure\n",
+        )
+
+    def test_every_library_error_has_an_exit_code(self):
+        assert set(cli.EXIT_CODES) == set(LibraryError.__subclasses__())
 
 
 def _random_invocation(rng, tmp_path):

@@ -1,3 +1,4 @@
+import enum
 import random
 from functools import lru_cache
 from itertools import combinations
@@ -23,6 +24,7 @@ from partition_paths import (
 
 P12312 = SetPartition((1, 2, 3, 1, 2))
 P12321 = SetPartition((1, 2, 3, 2, 1))
+_Label = enum.IntEnum("_Label", "A B")
 
 
 @lru_cache(maxsize=None)
@@ -60,11 +62,13 @@ class TestParse:
             parse_partition("1,x,2")
 
     @pytest.mark.parametrize(
-        "word, position", [([True], 1), ((1, True), 2), ((1, False), 2)]
+        "word, position",
+        [([True], 1), ((1, True), 2), ((1, False), 2), ((1, _Label.B), 2)],
     )
     def test_bool_letters_rejected(self, word, position):
-        # bool is an int subclass, but True is no block index: str would
-        # print a word that parse_partition rejects
+        # bool and IntEnum are int subclasses, but True, or _Label.B on
+        # Python 3.10, is no block index: str would print a word that
+        # parse_partition rejects, so a letter must be a plain int
         message = f"letter at position {position} is not a positive integer"
         with pytest.raises(InvalidObjectError, match=message):
             SetPartition(word)
