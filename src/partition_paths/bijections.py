@@ -30,13 +30,15 @@ PATTERNS = tuple(FAST_PATTERNS)
 
 
 def _require_pattern(pattern: str) -> None:
-    if pattern not in FAST_PATTERNS:
+    if pattern not in PATTERNS:  # a tuple: an unhashable pattern is unsupported
         raise PreconditionError(
             f"unsupported pattern {pattern!r}, expected {' or '.join(PATTERNS)}"
         )
 
 
 def _require_avoids(p: SetPartition, pattern: str) -> None:
+    if not isinstance(p, SetPartition):
+        raise InvalidObjectError(f"expected a SetPartition, got {p!r}")
     _require_pattern(pattern)
     if len(p) == 0:
         raise PreconditionError("the empty partition is outside the bijection domain")
@@ -54,6 +56,8 @@ def _require_avoids(p: SetPartition, pattern: str) -> None:
 
 
 def _require_class(p: LatticePath, path_class: str, caller: str) -> None:
+    if not isinstance(p, LatticePath):
+        raise InvalidObjectError(f"{caller} expects a LatticePath, got {p!r}")
     try:
         check_path(p, path_class)
     except InvalidObjectError as exc:

@@ -164,23 +164,15 @@ def _infer_path_class(text: str) -> str:
 
 
 def _selected(args):
-    """The objects a list or count command selects, lazily."""
+    """The objects a list or count command selects, lazily; the one place
+    that holds n to the exhaustive limit."""
+    pattern = None if args.pattern is None else partitions.parse_partition(args.pattern)
+    limit = _limit(args)
+    if args.n > limit:
+        raise LimitExceededError(f"n={args.n} exceeds the exhaustive limit {limit}")
     if args.kind == "paths":
-        return paths.generate_paths(
-            args.n, args.path_class or "schroder", limit=_limit(args)
-        )
-    if args.pattern is None:
-        return partitions.generate_partitions(args.n, limit=_limit(args))
-    pattern = partitions.parse_partition(args.pattern)
-    for name, entry in partitions.FAST_PATTERNS.items():
-        if entry.word == pattern:
-            # a registered pattern prunes the generation by its prefix rule,
-            # however its word is spelled
-            return partitions.generate_partitions(
-                args.n, limit=_limit(args), avoiding=name
-            )
-    everything = partitions.generate_partitions(args.n, limit=_limit(args))
-    return (p for p in everything if partitions.avoids(p, pattern))
+        return paths.generate_paths(args.n, args.path_class or "schroder")
+    return partitions.generate_partitions(args.n, avoiding=pattern)
 
 
 def _run_list(args):

@@ -11,8 +11,17 @@ from dataclasses import dataclass
 from .errors import InvalidObjectError, require_size
 
 
+def _require_ints(n, k) -> None:
+    """Raise unless n and k are plain ints, as :func:`require_size` asks of a
+    size; an int out of range is a count of 0, not an error."""
+    for what, value in (("n", n), ("k", k)):
+        if type(value) is not int:
+            raise InvalidObjectError(f"{what} must be an int, got {value!r}")
+
+
 def binomial(n: int, k: int) -> int:
     """C(n, k), with 0 for out-of-range arguments."""
+    _require_ints(n, k)
     if n < 0 or k < 0 or k > n:
         return 0
     return math.comb(n, k)
@@ -21,6 +30,7 @@ def binomial(n: int, k: int) -> int:
 def narayana(n: int, k: int) -> int:
     """The number of Dyck paths of semilength n with exactly k peaks:
     C(n,k) * C(n,k-1) / n, which is always an exact integer."""
+    _require_ints(n, k)
     if n == 0:
         return 1 if k == 0 else 0
     if k < 1 or k > n:
@@ -38,6 +48,7 @@ def count_blocks(n: int, k: int) -> int:
     n - j horizontal steps.  For k = 0 the only partition is the all-ones
     word.  Out of range, as for n < 0, the count is 0.
     """
+    _require_ints(n, k)
     if k == 0:
         return 1 if n >= 0 else 0
     return sum(narayana(j, k) * binomial(n, j) for j in range(k, n + 1))
@@ -152,7 +163,6 @@ SERIES = {
 def series(identifier: str, order: int = 32) -> SeriesTable:
     """Series lookup by name in :data:`SERIES`: f, f_prime, schroder or bell."""
     require_size(order, "truncation order")
-    build = SERIES.get(identifier)
-    if build is None:
+    if not isinstance(identifier, str) or identifier not in SERIES:
         raise InvalidObjectError(f"unknown series {identifier!r}")
-    return build(order)
+    return SERIES[identifier](order)

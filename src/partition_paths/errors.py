@@ -1,8 +1,8 @@
-"""Shared exception types, the exhaustive-generation limit and the size check."""
+"""Shared exception types, the CLI's default exhaustive limit and the size check."""
 
-import math
-
-# Exhaustive generators refuse sizes above this unless told otherwise.
+# The largest n that the CLI's list and count commands enumerate unless
+# --max-n or PARTITION_PATHS_MAX_N says otherwise; the library's generators
+# take any size.
 DEFAULT_LIMIT = 12
 
 
@@ -23,16 +23,13 @@ class PreconditionError(LibraryError):
 
 
 class LimitExceededError(LibraryError):
-    """An exhaustive generation request exceeds the configured limit."""
+    """An exhaustive list or count request exceeds the CLI's limit."""
 
 
-def require_size(n, what: str, limit=math.inf) -> None:
+def require_size(n, what: str) -> None:
     """Raise unless the size ``n``, named ``what`` in the message, is a plain
-    int, non-negative and at most ``limit`` (a generator's limit of None is
-    not read as no limit)."""
+    int and non-negative."""
     if type(n) is not int:
         raise InvalidObjectError(f"{what} must be an int, got {n!r}")
     if n < 0:
         raise InvalidObjectError(f"{what} must be non-negative")
-    if n > limit:
-        raise LimitExceededError(f"n={n} exceeds the exhaustive limit {limit}")

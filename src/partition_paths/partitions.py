@@ -12,7 +12,7 @@ from itertools import accumulate
 from operator import length_hint
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from .errors import DEFAULT_LIMIT, InvalidObjectError, require_size
+from .errors import InvalidObjectError, require_size
 
 
 class SetPartition:
@@ -27,7 +27,10 @@ class SetPartition:
     __slots__ = ("word",)
 
     def __init__(self, word=()):
-        word = tuple(word)
+        try:
+            word = tuple(word)
+        except TypeError:
+            raise InvalidObjectError(f"a word must be iterable, got {word!r}") from None
         mx = 0
         rest = iter(word)
         for c in rest:
@@ -95,6 +98,8 @@ def parse_partition(text: str) -> SetPartition:
     Only the syntax is checked here, so a syntax error anywhere is reported
     before the first growth error, which :class:`SetPartition` reports.
     """
+    if not isinstance(text, str):
+        raise InvalidObjectError(f"a partition must be parsed from a str, got {text!r}")
     text = text.strip()
     if not text:
         return SetPartition()
@@ -115,11 +120,25 @@ def parse_partition(text: str) -> SetPartition:
 
 
 def generate_partitions(
-    n: int, limit: int = DEFAULT_LIMIT, avoiding: Optional[str] = None
+    n: int, avoiding: Optional[SetPartition] = None
 ) -> Iterator[SetPartition]:
     """Yield every set partition of [n] exactly once, in lexicographic order
-    of its canonical word; with ``avoiding`` (a key of :data:`FAST_PATTERNS`)
-    only the partitions that avoid that pattern.
+    of its canonical word; with ``avoiding``, a pattern word, only those that
+    avoid it: a word of :data:`FAST_PATTERNS` prunes the search by its prefix
+    rule, and any other word filters it by :func:`avoids`.  Any n is taken;
+    the CLI's list and count hold n to their exhaustive limit."""
+    require_size(n, "partition size")
+    if avoiding is not None and not isinstance(avoiding, SetPartition):
+        raise InvalidObjectError(f"avoiding must be a SetPartition, got {avoiding!r}")
+    pruned = {entry.word: entry.rules_out for entry in FAST_PATTERNS.values()}
+    grown = _grow(n, pruned.get(avoiding, _rules_out_nothing))
+    if avoiding is not None and avoiding not in pruned:
+        grown = (p for p in grown if avoids(p, avoiding))
+    yield from grown
+
+
+def _grow(n: int, rules_out: Callable[[int, int], int]) -> Iterator[SetPartition]:
+    """The partitions of [n], in order, with no letter that ``rules_out`` bans.
 
     Iterative depth-first search over prefixes.  Avoidance is closed under
     prefixes, so a letter is dropped as soon as the pattern's prefix rule
@@ -128,16 +147,6 @@ def generate_partitions(
     is spent on partitions that are not emitted.  Words are built only as
     restricted growth strings and are not validated again.
     """
-    require_size(n, "partition size", limit)
-    if avoiding is None:
-        rules_out = _rules_out_nothing
-    elif avoiding in FAST_PATTERNS:
-        rules_out = FAST_PATTERNS[avoiding].rules_out
-    else:
-        raise InvalidObjectError(
-            f"no prefix rule for pattern {avoiding!r}, "
-            f"expected {' or '.join(FAST_PATTERNS)}"
-        )
     leaf = SetPartition._trusted
     if n <= 1:
         yield leaf((1,) * n)

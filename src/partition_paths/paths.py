@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from operator import length_hint
 from typing import Callable, Iterator, Optional
 
-from .errors import DEFAULT_LIMIT, InvalidObjectError, require_size
+from .errors import InvalidObjectError, require_size
 
 _RISE = {"U": 1, "D": -1, "H": 0, "L": -1}
 _RUN = {"U": 1, "D": 1, "H": 2, "L": -1}
@@ -94,7 +94,10 @@ class LatticePath:
 
     def __init__(self, steps=""):
         if not isinstance(steps, str):
-            steps = "".join(steps)
+            try:
+                steps = "".join(steps)
+            except TypeError:
+                raise InvalidObjectError(f"not a step sequence: {steps!r}") from None
         # faults are reported in position order: the heights are walked only
         # up to the first foreign letter, which is reported if they hold
         i = len(steps) - len(steps.lstrip(_STEPS))
@@ -210,10 +213,9 @@ def classify(p: LatticePath) -> PathFlags:
 
 
 def _rules(path_class: str) -> ClassRules:
-    rules = CLASS_RULES.get(path_class)
-    if rules is None:
+    if path_class not in PATH_CLASSES:  # a tuple: an unhashable class is unknown
         raise InvalidObjectError(f"unknown path class {path_class!r}")
-    return rules
+    return CLASS_RULES[path_class]
 
 
 def _check_alphabet(steps: str, path_class: str, alphabet: str) -> None:
@@ -248,6 +250,8 @@ def _check_step_rules(p: LatticePath, rules: ClassRules) -> None:
 
 def parse_path(text: str, path_class: str = "schroder") -> LatticePath:
     """Parse and validate a step string as a member of the given class."""
+    if not isinstance(text, str):
+        raise InvalidObjectError(f"a path must be parsed from a str, got {text!r}")
     text = text.strip()
     rules = _rules(path_class)
     # a foreign letter is reported as such, before the heights are checked
@@ -260,9 +264,7 @@ def parse_path(text: str, path_class: str = "schroder") -> LatticePath:
     return p
 
 
-def generate_paths(
-    n: int, path_class: str = "schroder", limit: int = DEFAULT_LIMIT
-) -> Iterator[LatticePath]:
+def generate_paths(n: int, path_class: str = "schroder") -> Iterator[LatticePath]:
     """Yield every path of semilength n in the class exactly once, in
     lexicographic order of the step string under U < D < H < L.
 
@@ -270,10 +272,11 @@ def generate_paths(
     budget.  The class rules are bound once: the forbidden factors become the
     steps that may follow each step, and the peak rule the levels at which U
     may not be followed by D.  The pruning keeps every prefix above the axis
-    and lets every leaf end on it, so leaves are not validated again.
+    and lets every leaf end on it, so leaves are not validated again.  Any n
+    is taken; the CLI's list and count hold n to their exhaustive limit.
     """
     rules = _rules(path_class)
-    require_size(n, "semilength", limit)
+    require_size(n, "semilength")
 
     # steps in decreasing order, so that pushed children pop in increasing order
     follow = {

@@ -29,7 +29,7 @@ class CheckResult:
 
 @lru_cache(maxsize=None)
 def _partitions(m: int):
-    return tuple(partitions.generate_partitions(m, limit=m))
+    return tuple(partitions.generate_partitions(m))
 
 
 @lru_cache(maxsize=None)
@@ -40,7 +40,7 @@ def _avoiders(m: int, pattern: str):
 
 @lru_cache(maxsize=None)
 def _paths(n: int, path_class: str):
-    return tuple(paths.generate_paths(n, path_class, limit=n))
+    return tuple(paths.generate_paths(n, path_class))
 
 
 def _by_size(check, first=0):

@@ -15,7 +15,7 @@ from partition_paths import (
 
 @lru_cache(maxsize=None)
 def _partitions(m):
-    return tuple(generate_partitions(m, limit=m))
+    return tuple(generate_partitions(m))
 
 
 @lru_cache(maxsize=None)
@@ -26,7 +26,7 @@ def _avoiders(m, pattern):
 
 @lru_cache(maxsize=None)
 def _paths(n, path_class):
-    return tuple(generate_paths(n, path_class, limit=n))
+    return tuple(generate_paths(n, path_class))
 
 
 def _bell_triangle(order):

@@ -71,7 +71,7 @@ class TestEncode:
     @pytest.mark.parametrize("pattern", ["12312", "12321"])
     def test_single_pass_matches_decomposition(self, encode_oracle, pattern):
         for n in range(1, 11):
-            for p in generate_partitions(n, avoiding=pattern):
+            for p in generate_partitions(n, avoiding=FAST_PATTERNS[pattern].word):
                 assert encode(p, pattern).steps == encode_oracle(p), p
 
 
@@ -240,7 +240,7 @@ class TestOutputsPassTheCheckingConstructors:
             if pattern is None:
                 sources = paths_of(n, "uh_free")
             else:
-                sources = generate_partitions(n + 1, avoiding=pattern)
+                sources = generate_partitions(n + 1, avoiding=FAST_PATTERNS[pattern].word)
             for x in sources:
                 _assert_valid_path(bijection.forward(x), image)
             for q in paths_of(n, image):

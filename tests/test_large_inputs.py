@@ -113,5 +113,5 @@ def test_oracle_and_path_generator_do_not_recurse():
     # than the default recursion limit
     word = SetPartition((1,) * 3000)
     assert find_pattern(word, word) == tuple(range(3000))
-    first = next(generate_paths(1000, limit=1000))
+    first = next(generate_paths(1000))
     assert first.steps == "U" * 1000 + "D" * 1000

@@ -8,7 +8,6 @@ import pytest
 from partition_paths import (
     Decomposition,
     InvalidObjectError,
-    LimitExceededError,
     SetPartition,
     avoids,
     avoids_12312_fast,
@@ -102,23 +101,27 @@ class TestGenerate:
     def test_empty_ground_set(self):
         assert [p.word for p in generate_partitions(0)] == [()]
 
-    def test_limit(self):
-        with pytest.raises(LimitExceededError):
-            list(generate_partitions(13))
-        with pytest.raises(LimitExceededError):
-            list(generate_partitions(5, limit=4))
-        with pytest.raises(LimitExceededError):
-            list(generate_partitions(13, avoiding="12312"))
-
     @pytest.mark.parametrize("pattern", ["12312", "12321"])
     def test_pruned_generation_equals_filtered_oracle(self, avoiders_of, pattern):
-        for n in range(11):
-            got = [p.word for p in generate_partitions(n, avoiding=pattern)]
-            assert got == [p.word for p in avoiders_of(n, pattern)], n
+        # the registered word prunes by its prefix rule, however it is spelled
+        for spelling in (pattern, ",".join(pattern), f" {','.join(pattern)} "):
+            word = parse_partition(spelling)
+            for n in range(11):
+                got = [p.word for p in generate_partitions(n, avoiding=word)]
+                assert got == [p.word for p in avoiders_of(n, pattern)], (spelling, n)
 
-    def test_pattern_without_prefix_rule_rejected(self):
-        with pytest.raises(InvalidObjectError, match="no prefix rule"):
-            list(generate_partitions(3, avoiding="1212"))
+    def test_unregistered_word_filters_by_avoids(self, partitions_of):
+        for spelling in ("1212", "121", "1,2,3,4,1", ""):
+            word = parse_partition(spelling)
+            for n in range(8):
+                got = list(generate_partitions(n, avoiding=word))
+                want = [p for p in partitions_of(n) if avoids(p, word)]
+                assert got == want, (spelling, n)
+
+    @pytest.mark.parametrize("avoiding", ["12312", (1, 2, 1, 2), 1212, []])
+    def test_pattern_must_be_a_set_partition(self, avoiding):
+        with pytest.raises(InvalidObjectError, match="must be a SetPartition"):
+            next(generate_partitions(3, avoiding=avoiding))
 
 
 class TestContainment:

@@ -5,7 +5,6 @@ import pytest
 from partition_paths import (
     InvalidObjectError,
     LatticePath,
-    LimitExceededError,
     PATH_CLASSES,
     classify,
     generate_paths,
@@ -180,12 +179,6 @@ class TestGenerate:
             census = Counter(len(peaks(p)) for p in paths_of(n, "dyck"))
             for k in range(n + 1):
                 assert census.get(k, 0) == narayana(n, k), (n, k)
-
-    def test_limit(self):
-        with pytest.raises(LimitExceededError):
-            list(generate_paths(13, "dyck"))
-        with pytest.raises(LimitExceededError):
-            list(generate_paths(3, "dyck", limit=2))
 
 
 class TestLatticePath:

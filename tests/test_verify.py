@@ -32,8 +32,8 @@ def dropping(cls, size):
     """generate_paths without the last path of one class at one size."""
 
     def broken(generate_paths):
-        def wrong(n, path_class="schroder", limit=12):
-            out = list(generate_paths(n, path_class, limit))
+        def wrong(n, path_class="schroder"):
+            out = list(generate_paths(n, path_class))
             if (path_class, n) == (cls, size):
                 out.pop()
             return iter(out)
@@ -70,8 +70,8 @@ def test_bell_numbers_off_at_three(monkeypatch):
 
 def test_partitions_out_of_order(monkeypatch):
     def broken(generate_partitions):
-        def wrong(n, limit=12, avoiding=None):
-            out = list(generate_partitions(n, limit, avoiding))
+        def wrong(n, avoiding=None):
+            out = list(generate_partitions(n, avoiding))
             if n == 3:
                 out[1], out[2] = out[2], out[1]
             return iter(out)
