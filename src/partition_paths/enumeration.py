@@ -134,9 +134,9 @@ class SeriesTable:
         return len(self.coefficients) - 1
 
     def coefficient(self, n: int) -> int:
-        if not 0 <= n <= self.order:
-            raise IndexError(
-                f"n={n} is outside 0..{self.order}, the order of {self.identifier}"
+        if type(n) is not int or not 0 <= n <= self.order:
+            raise InvalidObjectError(
+                f"n={n!r} is outside 0..{self.order}, the order of {self.identifier}"
             )
         return self.coefficients[n]
 

@@ -124,50 +124,55 @@ def generate_partitions(
 ) -> Iterator[SetPartition]:
     """Yield every set partition of [n] exactly once, in lexicographic order
     of its canonical word; with ``avoiding``, a pattern word, only those that
-    avoid it: a word of :data:`FAST_PATTERNS` prunes the search by its prefix
-    rule, and any other word filters it by :func:`avoids`.  Any n is taken;
+    avoid it: a word of :data:`FAST_PATTERNS` prunes the search by its rule,
+    and any other word filters it by :func:`avoids`.  Any n is taken;
     the CLI's list and count hold n to their exhaustive limit."""
     require_size(n, "partition size")
     if avoiding is not None and not isinstance(avoiding, SetPartition):
         raise InvalidObjectError(f"avoiding must be a SetPartition, got {avoiding!r}")
-    pruned = {entry.word: entry.rules_out for entry in FAST_PATTERNS.values()}
-    grown = _grow(n, pruned.get(avoiding, _rules_out_nothing))
-    if avoiding is not None and avoiding not in pruned:
+    rules = {entry.word: entry for entry in FAST_PATTERNS.values()}
+    grown = _grow(n, rules.get(avoiding, _NO_PATTERN))
+    if avoiding is not None and avoiding not in rules:
         grown = (p for p in grown if avoids(p, avoiding))
     yield from grown
 
 
-def _grow(n: int, rules_out: Callable[[int, int], int]) -> Iterator[SetPartition]:
-    """The partitions of [n], in order, with no letter that ``rules_out`` bans.
+def _grow(n: int, rule: "Pattern") -> Iterator[SetPartition]:
+    """The partitions of [n], in order, in which no letter completes the
+    pattern of ``rule``.
 
     Iterative depth-first search over prefixes.  Avoidance is closed under
-    prefixes, so a letter is dropped as soon as the pattern's prefix rule
-    says it completes an occurrence.  Every prefix kept extends to an
-    avoider of [n] (a new block never completes an occurrence), so no work
-    is spent on partitions that are not emitted.  Words are built only as
-    restricted growth strings and are not validated again.
+    prefixes, so a letter is dropped as soon as the rule's step says it
+    completes an occurrence.  Every prefix kept extends to an avoider of [n]
+    (a letter that is not below the running maximum never completes one), so
+    no work is spent on partitions that are not emitted.  Words are built
+    only as restricted growth strings and are not validated again.
     """
     leaf = SetPartition._trusted
+    step = rule.step
     if n <= 1:
         yield leaf((1,) * n)
         return
-    # (prefix, its maximum, bit mask of the letters ruled out after it);
-    # children are pushed in decreasing order so that they pop in increasing
-    # order, and the last letter is chosen without a push
-    stack = [((1,), 1, 0)]
+    # (prefix, its maximum, the rule's state after it); siblings share the
+    # state, which no step mutates.  Children are pushed in decreasing order
+    # so that they pop in increasing order, and the last letter is chosen
+    # without a push
+    stack = [((1,), 1, rule.start)]
     while stack:
-        word, mx, banned = stack.pop()
+        word, mx, state = stack.pop()
         if len(word) == n - 1:
-            for c in range(1, mx + 2):
-                if not banned >> c & 1:
+            for c in range(1, mx):
+                if step(state, c, mx) is not None:
                     yield leaf(word + (c,))
+            yield leaf(word + (mx,))
+            yield leaf(word + (mx + 1,))
             continue
-        stack.append((word + (mx + 1,), mx + 1, banned))
-        for c in range(mx, 0, -1):
-            if not banned >> c & 1:
-                stack.append(
-                    (word + (c,), mx, banned | rules_out(c, mx) if c < mx else banned)
-                )
+        stack.append((word + (mx + 1,), mx + 1, state))
+        stack.append((word + (mx,), mx, state))
+        for c in range(mx - 1, 0, -1):
+            after = step(state, c, mx)
+            if after is not None:
+                stack.append((word + (c,), mx, after))
 
 
 @lru_cache(maxsize=128)
@@ -278,6 +283,8 @@ def decompose(p: SetPartition) -> Decomposition:
     running maximum, because that maximum is at least c + 1 only after the
     first occurrence of c + 1.
     """
+    if not isinstance(p, SetPartition):
+        raise InvalidObjectError(f"decompose expects a SetPartition, got {p!r}")
     word = p.word
     if not word:
         raise InvalidObjectError("cannot decompose the empty partition")
@@ -295,93 +302,85 @@ def decompose(p: SetPartition) -> Decomposition:
     return Decomposition(len(first), tuple(first), words, tuple(late[:-1]))
 
 
-def avoids_12312_fast(p: SetPartition) -> bool:
-    """Decide 12312-avoidance without subsequence search.
-
-    A word contains 12312 exactly when some block label c can see, after its
-    first occurrence, a letter x followed by a strictly larger letter y with
-    y still smaller than c (the first occurrences of x, y and c then complete
-    the occurrence).  The earliest label above y to appear is y + 1, so a
-    letter y at position j completes 12312 exactly when some letter x < y
-    lies strictly between the first y + 1 and j.
-
-    One left-to-right pass: a stack of positions whose letters strictly
-    increase gives, after popping the letters >= y, the nearest earlier
-    position holding a letter below y.
-    """
-    word = p.word
-    first = []  # first[c] = position of the first occurrence of c + 1
-    below = []
-    for j, y in enumerate(word):
-        if y > len(first):
-            first.append(j)
-        while below and word[below[-1]] >= y:
-            below.pop()
-        if below and y < len(first) and below[-1] > first[y]:
-            return False
-        below.append(j)
-    return True
-
-
-def avoids_12321_fast(p: SetPartition) -> bool:
-    """Decide 12321-avoidance without subsequence search.
-
-    The word avoids 12321 exactly when its letters below the running maximum
-    are weakly increasing (these are the letters of the factorization words
-    w_i other than i itself; a descent a > b among them always completes to
-    an occurrence a' b' c' b a with c' the running maximum at a).  One pass.
-    """
-    mx = prev = 0
-    for c in p.word:
+def _avoids_by_rule(word: tuple, start, step) -> bool:
+    """Fold a pattern's rule (see :class:`Pattern`) over a word in one pass."""
+    mx = 0
+    state = start
+    for c in word:
         if c > mx:
             mx = c
         elif c < mx:
-            if c < prev:
+            state = step(state, c, mx)
+            if state is None:
                 return False
-            prev = c
     return True
 
 
-def _rules_out_12312(c: int, mx: int) -> int:
-    """A letter c below the running maximum mx lies after the first
-    occurrence of every label up to mx, so by the criterion of
-    :func:`avoids_12312_fast` each later letter y with c < y < mx would
-    complete 12312: the letters c+1 .. mx-1, as a bit mask."""
-    return (1 << mx) - (2 << c)
+def _step_12312(below: tuple, c: int, mx: int) -> Optional[tuple]:
+    """The 12312 rule.  An occurrence of 12312 ends at a letter y after a
+    letter x below the running maximum m, with x < y < m (the first
+    occurrences of x, y and m precede that x), so y completes one exactly
+    when it lies inside the interval (x, m) of such an earlier x.
+
+    The state is a linked stack (x, m, rest) of those intervals on a bottom
+    entry (0, 0, None), with x increasing toward the top.  The entries with
+    x >= c are dropped, as the interval (c, mx) that c pushes covers theirs;
+    the top, whose m is then the largest, alone can hold c.  Each entry is
+    pushed and dropped once, so a word costs linear time.
+    """
+    while below[0] >= c:
+        below = below[2]
+    if c < below[1]:
+        return None
+    return (c, mx, below)
 
 
-def _rules_out_12321(c: int, mx: int) -> int:
-    """The letters below the running maximum must be weakly increasing
-    (:func:`avoids_12321_fast`), so after a letter c below it no letter
-    smaller than c may follow: the letters 1 .. c-1, as a bit mask."""
-    return (1 << c) - 2
+def _step_12321(prev: int, c: int, mx: int) -> Optional[int]:
+    """The 12321 rule.  The letters below the running maximum must be weakly
+    increasing: a descent a > b among them completes b a m a b, with m the
+    running maximum at a.  The state is the last such letter, from 0."""
+    return None if c < prev else c
 
 
-def _rules_out_nothing(c: int, mx: int) -> int:
-    return 0
+# Each rule as (start, step), read by its fast test and its FAST_PATTERNS row.
+_RULE_12312 = (0, 0, None), _step_12312
+_RULE_12321 = 0, _step_12321
+
+
+def avoids_12312_fast(p: SetPartition) -> bool:
+    """Decide 12312-avoidance in linear time, by :func:`_step_12312`."""
+    return _avoids_by_rule(p.word, *_RULE_12312)
+
+
+def avoids_12321_fast(p: SetPartition) -> bool:
+    """Decide 12321-avoidance in linear time, by :func:`_step_12321`."""
+    return _avoids_by_rule(p.word, *_RULE_12321)
 
 
 class Pattern(NamedTuple):
-    """A pattern of the bijections with its linear-time avoidance test and
-    its prefix rule.
+    """A pattern of the bijections: its word, its rule (``start``, ``step``)
+    and the linear-time avoidance test folded from the rule.
 
     Either pattern is completed only by a letter below the running maximum.
-    ``rules_out(c, mx)`` is the bit mask of the letters that may no longer
-    follow once a letter c below the running maximum mx is appended; the
-    letters ruled out by the earlier letters of a word accumulate, and the
-    word avoids the pattern exactly when none of its letters was ruled out
-    by an earlier one.
+    ``step(state, c, mx)`` takes the state after the earlier letters
+    (``start`` before the first) and such a letter c, below the running
+    maximum mx, and returns the state after c, or None when c completes an
+    occurrence; it never mutates the state.  ``avoids_fast`` folds the rule
+    over a word, and :func:`generate_partitions` prunes by it letter by
+    letter, so the test and the generator cannot disagree.
     """
 
     word: SetPartition
     avoids_fast: Callable[[SetPartition], bool]
-    rules_out: Callable[[int, int], int]
+    start: object
+    step: Callable[[object, int, int], object]
 
 
 FAST_PATTERNS = {
-    "12312": Pattern(SetPartition((1, 2, 3, 1, 2)), avoids_12312_fast, _rules_out_12312),
-    "12321": Pattern(SetPartition((1, 2, 3, 2, 1)), avoids_12321_fast, _rules_out_12321),
+    "12312": Pattern(SetPartition((1, 2, 3, 1, 2)), avoids_12312_fast, *_RULE_12312),
+    "12321": Pattern(SetPartition((1, 2, 3, 2, 1)), avoids_12321_fast, *_RULE_12321),
 }
+_NO_PATTERN = Pattern(None, None, (), lambda state, c, mx: state)  # keeps every letter
 
 
 def is_irreducible(p: SetPartition) -> bool:

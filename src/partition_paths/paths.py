@@ -231,6 +231,8 @@ def check_path(p: LatticePath, path_class: str) -> None:
     """Raise :class:`InvalidObjectError` unless the path obeys every rule of
     the class in :data:`CLASS_RULES`; the message names the first rule
     broken and its position."""
+    if not isinstance(p, LatticePath):
+        raise InvalidObjectError(f"check_path expects a LatticePath, got {p!r}")
     rules = _rules(path_class)
     _check_alphabet(p.steps, path_class, rules.alphabet)
     _check_step_rules(p, rules)

@@ -7,10 +7,11 @@ _UNIT, _MARGIN = 20, 10  # SVG user units per lattice unit and around the drawin
 
 
 def render(p: LatticePath, fmt: str = "ascii") -> str:
-    draw = RENDERERS.get(fmt)
-    if draw is None:
+    if not isinstance(fmt, str) or fmt not in RENDERERS:
         raise InvalidObjectError(f"unknown render format {fmt!r}")
-    return draw(p)
+    if not isinstance(p, LatticePath):
+        raise InvalidObjectError(f"render expects a LatticePath, got {p!r}")
+    return RENDERERS[fmt](p)
 
 
 def render_ascii(p: LatticePath) -> str:

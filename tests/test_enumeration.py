@@ -3,6 +3,7 @@ from collections import Counter
 import pytest
 
 from partition_paths import (
+    InvalidObjectError,
     SeriesTable,
     bell_number,
     bell_numbers,
@@ -130,7 +131,9 @@ class TestSeries:
     @pytest.mark.parametrize("n", [-1, -6, 6, 7])
     def test_coefficient_outside_the_order_raises(self, n):
         # a negative n must not index from the end of the table
-        with pytest.raises(IndexError, match=f"n={n} is outside 0..5, the order of f"):
+        with pytest.raises(
+            InvalidObjectError, match=f"n={n} is outside 0..5, the order of f"
+        ):
             series_f(5).coefficient(n)
         assert series_f(5).coefficient(0) == 1 and series_f(5).coefficient(5) == 188
 

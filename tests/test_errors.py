@@ -29,6 +29,7 @@ from partition_paths import (
     decode,
     decode_from_odd_peaks,
     decode_trace,
+    decompose,
     encode,
     encode_to_odd_peaks,
     generate_partitions,
@@ -39,6 +40,7 @@ from partition_paths import (
     parse_path,
     partitions,
     paths,
+    render,
     run_checks,
     series,
     series_f,
@@ -129,6 +131,9 @@ API = [
     (to_uh_free, [[ODD_PEAKS]], LatticePath),
     (encode_to_odd_peaks, [[PARTITION], PATTERNS], LatticePath),
     (decode_from_odd_peaks, [[ODD_PEAKS], PATTERNS], SetPartition),
+    (decompose, [[PARTITION]], partitions.Decomposition),
+    (paths.check_path, [[UH_FREE], ["schroder", "uh_free"]], type(None)),
+    (render, [[UH_FREE], ["ascii", "svg"]], str),
     (
         generate_partitions,
         [[0, 3], [None, PARTITION, SetPartition((1, 2, 1, 2))]],
@@ -144,6 +149,7 @@ API = [
     (series, [["f", "bell"], [4]], SeriesTable),
     (series_f, [[4]], SeriesTable),
     (series_f_prime, [[4]], SeriesTable),
+    (series_f(4).coefficient, [[0, 4]], int),
     (run_checks, [[0, 1]], list),
 ]
 

@@ -39,6 +39,12 @@ def staircase(size):
     return list(range(1, m + 1)) + [1] * (size - m)
 
 
+def rising_zigzag(m):
+    """1 2 1 3 2 ... m (m-1): each letter below the maximum sits on the
+    12312 rule's stack, which grows to a depth of m - 1."""
+    return [1] + [c for k in range(2, m + 1) for c in (k, k - 1)]
+
+
 @pytest.mark.parametrize("family", sorted(UH_FREE_FAMILIES))
 @pytest.mark.parametrize("pattern", ["12312", "12321"])
 def test_decode_encode_roundtrip(family, pattern):
@@ -81,6 +87,19 @@ def test_fast_predicates_on_staircases():
     m = N // 2
     p = SetPartition(list(range(1, m + 1)) + [2] + [1] * (N - m))
     assert avoids_12312_fast(p) and not avoids_12321_fast(p)
+
+
+@pytest.mark.parametrize("m", [*range(3, 9), N // 2])
+def test_fast_predicates_on_the_rising_zigzag(m):
+    # it avoids both patterns; a final 1 pops the whole 12312 stack at once,
+    # still avoids 12312 and ends a descent that completes 12321
+    patterns = SetPartition((1, 2, 3, 1, 2)), SetPartition((1, 2, 3, 2, 1))
+    zigzag = rising_zigzag(m)
+    for word, want in (zigzag, (True, True)), (zigzag + [1], (True, False)):
+        p = SetPartition(word)
+        assert (avoids_12312_fast(p), avoids_12321_fast(p)) == want
+        if m <= 8:
+            assert tuple(find_pattern(p, w) is None for w in patterns) == want
 
 
 def test_large_schroder_matches_catalan_sum():
