@@ -24,7 +24,6 @@ from .enumeration import (
     series_f_prime,
 )
 from .errors import (
-    DEFAULT_LIMIT,
     InvalidObjectError,
     LibraryError,
     LimitExceededError,

@@ -105,36 +105,32 @@ def _encode(word: tuple) -> str:
     return "".join(out)
 
 
-def _decode(steps: str, pattern: str):
-    """Label the steps of the path with a peak prepended: (word, steps, labels)."""
+def _decode(steps: str, pattern: str) -> tuple:
+    """The partition word of the path with a peak prepended."""
     steps = "UD" + steps
     n = len(steps)
-    take_max = pattern == "12312"
-    labels = [0] * n
     word = []
     # Up-step labels are pushed in nondecreasing order, so the unmatched ones
     # (the up-step multiset minus the down-step multiset) form a sorted deque:
     # its maximum is the back and its minimum the front.  It holds as many
     # labels as the height before the step, so no down step finds it empty.
     free = deque()
+    take = free.pop if pattern == "12312" else free.popleft
     seen_peaks = 0
     for i, s in enumerate(steps):
         if s == "U":
             if i + 1 < n and steps[i + 1] == "D":
                 seen_peaks += 1
-            labels[i] = seen_peaks
             free.append(seen_peaks)
-            continue
-        if s == "H":
+        elif s == "H":
             # the largest label to the left is the number of peaks passed
-            labels[i] = seen_peaks
+            word.append(seen_peaks)
         elif steps[i - 1] == "U":
             # a peak down step copies its peak's label, the last one pushed
-            labels[i] = free.pop()
+            word.append(free.pop())
         else:
-            labels[i] = free.pop() if take_max else free.popleft()
-        word.append(labels[i])
-    return tuple(word), steps, labels
+            word.append(take())
+    return tuple(word)
 
 
 def decode(p: LatticePath, pattern: str = "12312") -> SetPartition:
@@ -151,7 +147,7 @@ def decode(p: LatticePath, pattern: str = "12312") -> SetPartition:
     """
     _require_pattern(pattern)
     _require_class(p, "uh_free", "decode")
-    return SetPartition._trusted(_decode(p.steps, pattern)[0])
+    return SetPartition._trusted(_decode(p.steps, pattern))
 
 
 def decode_trace(p: LatticePath, pattern: str = "12312") -> str:
@@ -159,8 +155,19 @@ def decode_trace(p: LatticePath, pattern: str = "12312") -> str:
     dump (debugging aid)."""
     _require_pattern(pattern)
     _require_class(p, "uh_free", "decode_trace")
-    _, steps, labels = _decode(p.steps, pattern)
-    return "\n".join(f"{i} {s} {lbl}" for i, (s, lbl) in enumerate(zip(steps, labels)))
+    steps = "UD" + p.steps
+    letters = iter(_decode(p.steps, pattern))
+    seen_peaks, lines = 0, []
+    for i, s in enumerate(steps):
+        if s == "U":
+            # an up step's label is the number of peaks passed, its own included
+            if steps[i + 1 : i + 2] == "D":
+                seen_peaks += 1
+            label = seen_peaks
+        else:
+            label = next(letters)  # the H and D steps spell the word
+        lines.append(f"{i} {s} {label}")
+    return "\n".join(lines)
 
 
 def _rewrite_forward(steps: str) -> str:
@@ -286,7 +293,7 @@ def decode_from_odd_peaks(p: LatticePath, pattern: str = "12312") -> SetPartitio
     """Inverse of :func:`encode_to_odd_peaks`; a bad path outranks a bad pattern."""
     _require_class(p, "no_even_peak", "to_uh_free")
     _require_pattern(pattern)
-    return SetPartition._trusted(_decode(_rewrite_backward(p.steps), pattern)[0])
+    return SetPartition._trusted(_decode(_rewrite_backward(p.steps), pattern))
 
 
 @dataclass(frozen=True)

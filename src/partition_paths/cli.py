@@ -16,13 +16,15 @@ import sys
 
 from . import bijections, enumeration, partitions, paths, rendering, verify
 from .errors import (
-    DEFAULT_LIMIT,
     InvalidObjectError,
     LibraryError,
     LimitExceededError,
     PreconditionError,
 )
 
+# The largest n that list and count enumerate unless --max-n says otherwise;
+# the library's generators take any size.
+DEFAULT_LIMIT = 12
 USAGE_ERROR = 64
 # the exit code of each library error
 EXIT_CODES = {
@@ -30,8 +32,6 @@ EXIT_CODES = {
     PreconditionError: 2,
     LimitExceededError: USAGE_ERROR,
 }
-LIMIT_ENV_VAR = "PARTITION_PATHS_MAX_N"
-_DIRECTIONS = ("forward", "inverse")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,15 +51,6 @@ def _selection_misuse(args):
         return "--pattern applies only to partitions"
     if args.kind == "partitions" and args.path_class is not None:
         return "--class applies only to paths"
-
-
-def _map_misuse(args):
-    """Moves a leading direction word to --direction; a clash is a misuse."""
-    if args.objects and args.objects[0] in _DIRECTIONS:
-        word = args.objects.pop(0)
-        if args.direction not in (None, word):
-            return f"direction given twice: {word} and --direction {args.direction}"
-        args.direction = word
 
 
 def _non_negative(dest, flag):
@@ -91,7 +82,12 @@ def build_parser() -> argparse.ArgumentParser:
             choices=paths.PATH_CLASSES,
             help="path class (default: schroder)",
         )
-        sp.add_argument("--max-n", type=int, default=None, help="exhaustive limit")
+        sp.add_argument(
+            "--max-n",
+            type=int,
+            default=DEFAULT_LIMIT,
+            help="exhaustive limit (default: %(default)s)",
+        )
         common(sp, run, _selection_misuse)
 
     sp = sub.add_parser("map", help="apply a bijection to each input object")
@@ -99,11 +95,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "objects",
         nargs="*",
-        help="optional leading 'forward' or 'inverse', then objects; "
-        "objects are read from stdin when none are given",
+        help="optional leading 'forward' (the default) or 'inverse', then "
+        "objects; objects are read from stdin when none are given",
     )
-    sp.add_argument("--direction", choices=_DIRECTIONS, help="default: forward")
-    common(sp, _run_map, _map_misuse)
+    common(sp, _run_map)
 
     sp = sub.add_parser("check", help="report the predicate record of each object")
     sp.add_argument("kind", choices=("partition", "path"))
@@ -128,18 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     # among the objects, and a misuse is reported with its command's usage
     parser.commands = sub.choices
     return parser
-
-
-def _limit(args) -> int:
-    if args.max_n is not None:
-        return args.max_n
-    env = os.environ.get(LIMIT_ENV_VAR, DEFAULT_LIMIT)
-    try:
-        return int(env)
-    except ValueError:
-        raise LimitExceededError(
-            f"{LIMIT_ENV_VAR} must be an integer, got {env!r}"
-        ) from None
 
 
 def _input_objects(args) -> list:
@@ -167,9 +150,10 @@ def _selected(args):
     """The objects a list or count command selects, lazily; the one place
     that holds n to the exhaustive limit."""
     pattern = None if args.pattern is None else partitions.parse_partition(args.pattern)
-    limit = _limit(args)
-    if args.n > limit:
-        raise LimitExceededError(f"n={args.n} exceeds the exhaustive limit {limit}")
+    if args.n > args.max_n:
+        raise LimitExceededError(
+            f"n={args.n} exceeds the exhaustive limit {args.max_n}"
+        )
     if args.kind == "paths":
         return paths.generate_paths(args.n, args.path_class or "schroder")
     return partitions.generate_partitions(args.n, avoiding=pattern)
@@ -185,7 +169,11 @@ def _run_count(args):
 
 def _run_map(args):
     bijection = bijections.MAPS[args.name]
-    if args.direction == "inverse":
+    # popped before _input_objects, which reads stdin when no object is left
+    direction = "forward"
+    if args.objects and args.objects[0] in ("forward", "inverse"):
+        direction = args.objects.pop(0)
+    if direction == "inverse":
         fn, takes = bijection.inverse, "path"
     else:
         fn, takes = bijection.forward, bijection.forward_input

@@ -1,9 +1,4 @@
-"""Shared exception types, the CLI's default exhaustive limit and the size check."""
-
-# The largest n that the CLI's list and count commands enumerate unless
-# --max-n or PARTITION_PATHS_MAX_N says otherwise; the library's generators
-# take any size.
-DEFAULT_LIMIT = 12
+"""Shared exception types and the size check."""
 
 
 class LibraryError(ValueError):

@@ -273,7 +273,7 @@ CHECKS = (
 )
 
 
-def run_checks(max_n: int = 8) -> list:
+def run_checks(max_n: int) -> list:
     """Run every identity check, each capped at min(max_n, its stated range).
 
     Results come back in the fixed declaration order, so output built from

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from partition_paths import (
@@ -103,6 +105,41 @@ class TestDecode:
 
     def test_trace_lists_index_step_label(self):
         assert decode_trace(LatticePath("UD")) == "0 U 1\n1 D 1\n2 U 2\n3 D 2"
+
+    @pytest.mark.parametrize("pattern", ["12312", "12321"])
+    def test_trace_follows_the_docstring(self, paths_of, pattern):
+        for n in range(7):
+            for q in paths_of(n, "uh_free"):
+                steps = "UD" + q.steps
+                labels = _docstring_labels(steps, pattern)
+                want = "\n".join(
+                    f"{i} {s} {x}" for i, (s, x) in enumerate(zip(steps, labels))
+                )
+                assert decode_trace(q, pattern) == want, q
+                word = tuple(x for s, x in zip(steps, labels) if s != "U")
+                assert decode(q, pattern).word == word, q
+
+
+def _docstring_labels(steps, pattern):
+    """The labels of the steps (a peak already prepended) by the rules of
+    decode's docstring, one rule at a time, with the multisets kept whole."""
+    labels, up, down, numbered = [], Counter(), Counter(), 0
+    for i, s in enumerate(steps):
+        if s == "U" and steps[i + 1 : i + 2] == "D":  # a peak up step
+            numbered += 1
+            label = numbered
+        elif s in "UH":
+            label = max(labels)
+        elif steps[i - 1] == "U":  # a peak down step
+            label = labels[-1]
+        else:
+            label = (max if pattern == "12312" else min)((up - down).elements())
+        if s == "U":
+            up[label] += 1
+        elif s == "D":
+            down[label] += 1
+        labels.append(label)
+    return labels
 
 
 class TestOddPeakRewrite:

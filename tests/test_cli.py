@@ -17,7 +17,7 @@ from partition_paths import (
     parse_path,
 )
 from partition_paths import bijections, cli, enumeration, paths, rendering
-from partition_paths.cli import LIMIT_ENV_VAR, main
+from partition_paths.cli import main
 
 
 def run(capsys, *argv):
@@ -42,15 +42,10 @@ class TestMap:
         assert code == 0
         assert out == "1,1,2,2,2,3,1,3,2,3,2,4,3\n"
 
-    def test_direction_flag(self, capsys):
-        code, out, _ = run(capsys, "map", "psi", "--direction", "inverse", "UHD")
-        assert code == 0
-        assert out == "UUDD\n"
-
-    def test_same_direction_given_twice(self, capsys):
-        # two directions that differ are a usage error (TestUsage)
-        argv = ("map", "sigma", "forward", "1,2", "--direction", "forward")
-        assert run(capsys, *argv) == (0, "UD\n", "")
+    def test_direction_is_only_the_leading_word(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["map", "psi", "--direction", "inverse", "UHD"])
+        assert exc.value.code == 64
 
     def test_psi_forward(self, capsys):
         code, out, _ = run(capsys, "map", "psi", "forward", "UUUDDHUDDUD")
@@ -74,6 +69,11 @@ class TestMap:
         code, out, _ = run(capsys, "map", "sigma", "forward")
         assert code == 0
         assert out == "UD\nH\n"
+
+    def test_inverse_reads_stdin(self, capsys, monkeypatch):
+        # the direction word is taken before the objects are read from stdin
+        monkeypatch.setattr("sys.stdin", io.StringIO("UHD\nUD\n"))
+        assert run(capsys, "map", "psi", "inverse") == (0, "UUDD\nUD\n", "")
 
     def test_empty_path_decodes_to_singleton(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("\n"))
@@ -169,13 +169,9 @@ class TestListAndCount:
         code, out, _ = run(capsys, "count", "partitions", "4", "--max-n", "4")
         assert code == 0 and out == "15\n"
 
-    def test_env_var_limit(self, capsys, monkeypatch):
-        monkeypatch.setenv("PARTITION_PATHS_MAX_N", "3")
-        code, _, err = run(capsys, "count", "partitions", "4")
-        assert code == 64
+    def test_limit_is_not_read_from_the_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("PARTITION_PATHS_MAX_N", "4")
-        code, out, _ = run(capsys, "count", "partitions", "4")
-        assert code == 0 and out == "15\n"
+        assert run(capsys, "count", "partitions", "5") == (0, "52\n", "")
 
 
 class TestCheck:
@@ -455,11 +451,11 @@ class TestUsage:
             ),
             (
                 ["map", "sigma", "forward", "1,2", "--direction", "inverse"],
-                "direction given twice: forward and --direction inverse",
+                "unrecognized arguments: --direction",
             ),
             (
                 ["map", "sigma", "--direction", "forward", "inverse", "UD"],
-                "direction given twice: inverse and --direction forward",
+                "unrecognized arguments: --direction",
             ),
         ],
     )
@@ -517,8 +513,9 @@ class TestLibraryErrors:
 
 def _random_invocation(rng, tmp_path):
     """A random argv for any subcommand, the text on stdin and the value of
-    the size-limit variable (None to leave it unset); valid words and
-    options are mixed with wrong ones, and every size stays small."""
+    PARTITION_PATHS_MAX_N, which the CLI does not read (None to leave it
+    unset); valid words and options are mixed with wrong ones, and every
+    size stays small."""
 
     def pick(*options):
         return rng.choice(options)
@@ -594,10 +591,10 @@ def test_random_invocations_keep_the_exit_code_contract(capsys, monkeypatch, tmp
         argv, stdin, limit = _random_invocation(rng, tmp_path)
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
         if limit is None:
-            monkeypatch.delenv(LIMIT_ENV_VAR, raising=False)
+            monkeypatch.delenv("PARTITION_PATHS_MAX_N", raising=False)
         else:
-            monkeypatch.setenv(LIMIT_ENV_VAR, limit)
-        case = f"argv={argv!r} stdin={stdin!r} {LIMIT_ENV_VAR}={limit!r}"
+            monkeypatch.setenv("PARTITION_PATHS_MAX_N", limit)
+        case = f"argv={argv!r} stdin={stdin!r} PARTITION_PATHS_MAX_N={limit!r}"
         try:
             code = main(argv)
         except SystemExit as exc:
