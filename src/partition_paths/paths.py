@@ -6,6 +6,7 @@ Generation order is lexicographic by step string under U < D < H < L.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import length_hint
 from typing import Callable, Iterator, Optional
 
@@ -14,7 +15,6 @@ from .errors import InvalidObjectError, require_size
 _RISE = {"U": 1, "D": -1, "H": 0, "L": -1}
 _RUN = {"U": 1, "D": 1, "H": 2, "L": -1}
 _HALF_UNITS = {"U": 1, "D": 1, "H": 2, "L": 1}  # twice the semilength a step adds
-_STEPS = "".join(_RISE)
 
 
 @dataclass(frozen=True)
@@ -24,7 +24,10 @@ class ClassRules:
     ``alphabet`` lists the allowed steps in generation order; ``forbidden``
     lists two-step factors that may not occur; a peak at level h is allowed
     exactly when ``peak_ok(h)`` holds, and ``peak_rule`` names the failure;
-    ``end_down`` asks a nonempty path to end with a down step.
+    ``end_down`` asks a nonempty path to end with a down step.  ``_moves``,
+    derived from the alphabet and the forbidden factors, is the one table
+    that generation and checking share; it is private, since changing it
+    would change both.
     """
 
     alphabet: str
@@ -32,6 +35,21 @@ class ClassRules:
     peak_ok: Optional[Callable[[int], bool]] = None
     peak_rule: str = ""
     end_down: bool = False
+
+    @cached_property
+    def _moves(self) -> dict:
+        """Each step (``""`` at the start) to the steps that may follow it, in
+        alphabet order, with their rises: what :func:`generate_paths` searches."""
+        return {
+            prev: {s: _RISE[s] for s in self.alphabet if prev + s not in self.forbidden}
+            for prev in ("", *self.alphabet)
+        }
+
+    @cached_property
+    def _bad_pairs(self) -> tuple:
+        """The two-step factors over the alphabet that ``_moves`` leaves out."""
+        a = self.alphabet
+        return tuple(p + s for p in a for s in a if s not in self._moves[p])
 
 
 # The reason each forbidden factor reports.  UL and LU state the skew rule
@@ -63,30 +81,57 @@ CLASS_RULES = {
 }
 
 PATH_CLASSES = tuple(CLASS_RULES)
+_ANY_STEP = ClassRules("".join(_RISE))  # the constructor's rules: letters and heights
 
 
-def _height_error(steps: str, complete: bool = True) -> Optional[str]:
-    """The first height rule broken by a string of step letters: dropping
-    below the axis or, if ``complete``, not ending on it."""
-    h = 0
-    rest = iter(steps)
+def _ends_down(steps: str) -> bool:
+    return not steps or steps[-1] == "D"
+
+
+def _check(steps: str, rules: ClassRules, name="", built=False) -> None:
+    """Raise :class:`InvalidObjectError` naming the first rule of ``rules``
+    that the steps break, in position order; a class ``name`` goes into an
+    unknown-letter message.  String searches find the first step that the
+    moves do not allow, and a walk over the steps before it finds a drop or
+    a forbidden peak; a ``built`` path needs that walk only for a peak rule."""
+    stop = len(steps) - len(steps.lstrip(rules.alphabet))  # first step not allowed
+    for pair in rules._bad_pairs:
+        k = steps.find(pair, 0, stop)
+        if k >= 0:
+            stop = k + 1
+    peak_ok, prev, h = rules.peak_ok, "", 0
+    rest = iter("" if built and not peak_ok else steps[:stop])
     for s in rest:
         h += _RISE[s]
-        if h < 0:
-            # the step just taken is followed by length_hint(rest) others
-            position = len(steps) - length_hint(rest)
-            return f"path drops below the axis at position {position}"
-    if complete and h:
-        return f"path ends at height {h}, expected 0"
-    return None
+        if h < 0 or (peak_ok and s == "D" and prev == "U" and not peak_ok(h + 1)):
+            i = stop - length_hint(rest)  # s is followed by length_hint(rest) steps
+            if h < 0:
+                raise InvalidObjectError(f"path drops below the axis at position {i}")
+            peak = rules.peak_rule.format(level=h + 1)
+            raise InvalidObjectError(f"{peak} at position {i - 1}")
+        prev = s
+    if stop < len(steps):
+        s, i = steps[stop], stop + 1
+        reason = f"unknown step character {s!r} at position {i}"
+        if s in rules.alphabet:
+            reason = _FACTOR_REASONS[steps[stop - 1 : i]].format(first=stop, second=i)
+        elif name:
+            reason += f" (class {name} uses {'/'.join(rules.alphabet)})"
+        raise InvalidObjectError(reason)
+    if h:
+        raise InvalidObjectError(f"path ends at height {h}, expected 0")
+    if rules.end_down and not _ends_down(steps):
+        raise InvalidObjectError("path does not end with a down step")
 
 
 class LatticePath:
     """An immutable step sequence with nonnegative prefix heights.
 
-    The constructor checks only the height profile and the step letters;
-    the rules of each class (Dyck, UH-free, skew, ...) are stated once in
-    :data:`CLASS_RULES`, which :func:`parse_path`, :func:`check_path`,
+    The constructor checks only the height profile and the step letters, by
+    the check that :func:`parse_path` runs, with rules that allow all four
+    steps, so its message names the first fault in position order and no
+    class.  The rules of each class (Dyck, UH-free, skew, ...) are stated
+    once in :data:`CLASS_RULES`, which :func:`parse_path`, :func:`check_path`,
     :func:`classify` and :func:`generate_paths` read.
     """
 
@@ -98,14 +143,7 @@ class LatticePath:
                 steps = "".join(steps)
             except TypeError:
                 raise InvalidObjectError(f"not a step sequence: {steps!r}") from None
-        # faults are reported in position order: the heights are walked only
-        # up to the first foreign letter, which is reported if they hold
-        i = len(steps) - len(steps.lstrip(_STEPS))
-        error = _height_error(steps[:i], complete=i == len(steps))
-        if error is None and i < len(steps):
-            error = f"unknown step character {steps[i]!r} at position {i + 1}"
-        if error:
-            raise InvalidObjectError(error)
+        _check(steps, _ANY_STEP)
         self.steps = steps
 
     @classmethod
@@ -118,8 +156,7 @@ class LatticePath:
 
     @property
     def semilength(self) -> int:
-        counts = {s: self.steps.count(s) for s in "UDHL"}
-        return (counts["U"] + counts["D"] + counts["L"]) // 2 + counts["H"]
+        return sum(units * self.steps.count(s) for s, units in _HALF_UNITS.items()) // 2
 
     def heights(self) -> list:
         """Prefix heights, starting from 0 (length = step count + 1)."""
@@ -170,31 +207,6 @@ class PathFlags:
     ends_with_down: bool
 
 
-def _factor_error(steps: str, rules: ClassRules) -> Optional[str]:
-    hit = None  # the earliest forbidden factor, as (index, factor)
-    for f in rules.forbidden:
-        k = steps.find(f)
-        if k >= 0 and (hit is None or k < hit[0]):
-            hit = k, f
-    if hit is None:
-        return None
-    k, f = hit
-    return _FACTOR_REASONS[f].format(first=k + 1, second=k + 2)
-
-
-def _peak_error(p: LatticePath, rules: ClassRules) -> Optional[str]:
-    for i, level in peaks(p):
-        if not rules.peak_ok(level):
-            return f"{rules.peak_rule.format(level=level)} at position {i + 1}"
-    return None
-
-
-def _end_error(steps: str) -> Optional[str]:
-    if steps and steps[-1] != "D":
-        return "path does not end with a down step"
-    return None
-
-
 def classify(p: LatticePath) -> PathFlags:
     """Evaluate four rules of :data:`CLASS_RULES` on a path: no UH factor,
     the peak rules of no_even_peak and uh_free_no_level_one, and ending with
@@ -205,10 +217,10 @@ def classify(p: LatticePath) -> PathFlags:
     """
     levels = [level for _, level in peaks(p)]
     return PathFlags(
-        uh_free=_factor_error(p.steps, CLASS_RULES["uh_free"]) is None,
+        uh_free=not any(f in p.steps for f in CLASS_RULES["uh_free"].forbidden),
         no_even_peak=all(map(CLASS_RULES["no_even_peak"].peak_ok, levels)),
         no_level_one_peak=all(map(CLASS_RULES["uh_free_no_level_one"].peak_ok, levels)),
-        ends_with_down=_end_error(p.steps) is None,
+        ends_with_down=_ends_down(p.steps),
     )
 
 
@@ -218,36 +230,13 @@ def _rules(path_class: str) -> ClassRules:
     return CLASS_RULES[path_class]
 
 
-def _check_alphabet(steps: str, path_class: str, alphabet: str) -> None:
-    i = len(steps) - len(steps.lstrip(alphabet))  # first step outside the alphabet
-    if i < len(steps):
-        raise InvalidObjectError(
-            f"unknown step character {steps[i]!r} at position {i + 1} "
-            f"(class {path_class} uses {'/'.join(alphabet)})"
-        )
-
-
 def check_path(p: LatticePath, path_class: str) -> None:
     """Raise :class:`InvalidObjectError` unless the path obeys every rule of
-    the class in :data:`CLASS_RULES`; the message names the first rule
-    broken and its position."""
+    the class in :data:`CLASS_RULES`; the message names the first fault met
+    left to right and its position."""
     if not isinstance(p, LatticePath):
         raise InvalidObjectError(f"check_path expects a LatticePath, got {p!r}")
-    rules = _rules(path_class)
-    _check_alphabet(p.steps, path_class, rules.alphabet)
-    _check_step_rules(p, rules)
-
-
-def _check_step_rules(p: LatticePath, rules: ClassRules) -> None:
-    """check_path without the alphabet, which the caller has checked."""
-    steps = p.steps
-    error = (
-        (rules.forbidden and _factor_error(steps, rules))
-        or (rules.peak_ok and _peak_error(p, rules))
-        or (rules.end_down and _end_error(steps))
-    )
-    if error:
-        raise InvalidObjectError(error)
+    _check(p.steps, _rules(path_class), path_class, built=True)
 
 
 def parse_path(text: str, path_class: str = "schroder") -> LatticePath:
@@ -255,15 +244,8 @@ def parse_path(text: str, path_class: str = "schroder") -> LatticePath:
     if not isinstance(text, str):
         raise InvalidObjectError(f"a path must be parsed from a str, got {text!r}")
     text = text.strip()
-    rules = _rules(path_class)
-    # a foreign letter is reported as such, before the heights are checked
-    _check_alphabet(text, path_class, rules.alphabet)
-    error = _height_error(text)
-    if error:
-        raise InvalidObjectError(error)
-    p = LatticePath._trusted(text)
-    _check_step_rules(p, rules)
-    return p
+    _check(text, _rules(path_class), path_class)
+    return LatticePath._trusted(text)
 
 
 def generate_paths(n: int, path_class: str = "schroder") -> Iterator[LatticePath]:
@@ -271,23 +253,20 @@ def generate_paths(n: int, path_class: str = "schroder") -> Iterator[LatticePath
     lexicographic order of the step string under U < D < H < L.
 
     Iterative depth-first search over step choices, pruned by height and
-    budget.  The class rules are bound once: the forbidden factors become the
-    steps that may follow each step, and the peak rule the levels at which U
-    may not be followed by D.  The pruning keeps every prefix above the axis
-    and lets every leaf end on it, so leaves are not validated again.  Any n
-    is taken; the CLI's list and count hold n to their exhaustive limit.
+    budget.  The class rules are bound once: the children of each step are
+    its row of the class's ``_moves`` table, whose missing pairs
+    :func:`parse_path` looks for, and the peak rule gives the levels at which
+    U may not be followed by D.  The pruning keeps every prefix above the
+    axis and lets every leaf end on it, so leaves are not validated again.
+    Any n is taken; the CLI's list and count hold n to their exhaustive limit.
     """
     rules = _rules(path_class)
     require_size(n, "semilength")
 
     # steps in decreasing order, so that pushed children pop in increasing order
     follow = {
-        prev: [
-            (s, _RISE[s], _HALF_UNITS[s])
-            for s in reversed(rules.alphabet)
-            if prev + s not in rules.forbidden
-        ]
-        for prev in ("", *rules.alphabet)
+        prev: [(s, rise, _HALF_UNITS[s]) for s, rise in reversed(row.items())]
+        for prev, row in rules._moves.items()
     }
     bad_peaks = {h for h in range(1, n + 1) if rules.peak_ok and not rules.peak_ok(h)}
     end_down = rules.end_down
@@ -296,7 +275,7 @@ def generate_paths(n: int, path_class: str = "schroder") -> Iterator[LatticePath
     while stack:
         steps, prev, remaining, y = stack.pop()
         if remaining == 0:
-            if not (end_down and prev and prev != "D"):
+            if not end_down or _ends_down(steps):
                 yield leaf(steps)
             continue
         for s, rise, units in follow[prev]:

@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import pytest
@@ -13,6 +14,7 @@ from partition_paths import (
     parse_path,
     peaks,
 )
+from partition_paths.paths import check_path
 
 REF_PATH = "HUUUDUUDDHUUDDHDD"
 
@@ -21,6 +23,15 @@ _ORDER = {"U": 0, "D": 1, "H": 2, "L": 3}
 
 def _lex_key(p):
     return [_ORDER[s] for s in p.steps]
+
+
+def _message(fn, *args):
+    """The message fn raises, or None if it accepts its arguments."""
+    try:
+        fn(*args)
+    except InvalidObjectError as exc:
+        return str(exc)
+    return None
 
 
 class TestParse:
@@ -68,6 +79,44 @@ class TestParse:
         with pytest.raises(InvalidObjectError) as exc:
             LatticePath(steps)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "steps, path_class, message",
+        [
+            ("DX", "schroder", "path drops below the axis at position 1"),
+            (
+                "UUHD",
+                "uh_free",
+                "up step immediately followed by a horizontal step at position 2",
+            ),
+            ("UUDH", "no_even_peak", "peak at even level 2 at position 2"),
+            (
+                "UHUDUD",
+                "uh_free_no_level_one",
+                "up step immediately followed by a horizontal step at position 1",
+            ),
+        ],
+    )
+    def test_parse_reports_the_first_fault_in_position_order(
+        self, steps, path_class, message
+    ):
+        with pytest.raises(InvalidObjectError) as exc:
+            parse_path(steps, path_class)
+        assert str(exc.value) == message
+
+    def test_parse_and_check_give_one_answer(self):
+        # every word of up to 6 letters that the constructor accepts
+        built = []
+        for k in range(7):
+            for t in itertools.product("UDHLX", repeat=k):
+                try:
+                    built.append(LatticePath("".join(t)))
+                except InvalidObjectError:
+                    pass
+        for path_class in PATH_CLASSES:
+            for p in built:
+                parsed = _message(parse_path, p.steps, path_class)
+                assert _message(check_path, p, path_class) == parsed, (p, path_class)
 
     def test_uh_free_violation(self):
         with pytest.raises(InvalidObjectError, match="horizontal step at position 1"):
