@@ -81,7 +81,7 @@ def encode(p: SetPartition, pattern: str = "12312") -> LatticePath:
     filled with its ascent U^(late+1) D.
     """
     _require_avoids(p, pattern)
-    return LatticePath._trusted(_encode(p.word))
+    return LatticePath._trusted(_encode(p))
 
 
 def _encode(word: tuple) -> str:
@@ -147,7 +147,7 @@ def decode(p: LatticePath, pattern: str = "12312") -> SetPartition:
     """
     _require_pattern(pattern)
     _require_class(p, "uh_free", "decode")
-    return SetPartition._trusted(_decode(p.steps, pattern))
+    return SetPartition._trusted(_decode(p, pattern))
 
 
 def decode_trace(p: LatticePath, pattern: str = "12312") -> str:
@@ -155,8 +155,8 @@ def decode_trace(p: LatticePath, pattern: str = "12312") -> str:
     dump (debugging aid)."""
     _require_pattern(pattern)
     _require_class(p, "uh_free", "decode_trace")
-    steps = "UD" + p.steps
-    letters = iter(_decode(p.steps, pattern))
+    steps = "UD" + p
+    letters = iter(_decode(p, pattern))
     seen_peaks, lines = 0, []
     for i, s in enumerate(steps):
         if s == "U":
@@ -265,7 +265,7 @@ def to_odd_peaks(p: LatticePath) -> LatticePath:
     step becomes as it is read.
     """
     _require_class(p, "uh_free", "to_odd_peaks")
-    return LatticePath._trusted(_rewrite_forward(p.steps))
+    return LatticePath._trusted(_rewrite_forward(p))
 
 
 def to_uh_free(p: LatticePath) -> LatticePath:
@@ -279,21 +279,21 @@ def to_uh_free(p: LatticePath) -> LatticePath:
     into a reserved slot of the output once its group's factors are counted.
     """
     _require_class(p, "no_even_peak", "to_uh_free")
-    return LatticePath._trusted(_rewrite_backward(p.steps))
+    return LatticePath._trusted(_rewrite_backward(p))
 
 
 def encode_to_odd_peaks(p: SetPartition, pattern: str = "12312") -> LatticePath:
     """Composition of :func:`encode` and :func:`to_odd_peaks`: avoiding
     partitions of [n+1] onto paths of semilength n without even-level peaks."""
     _require_avoids(p, pattern)
-    return LatticePath._trusted(_rewrite_forward(_encode(p.word)))
+    return LatticePath._trusted(_rewrite_forward(_encode(p)))
 
 
 def decode_from_odd_peaks(p: LatticePath, pattern: str = "12312") -> SetPartition:
     """Inverse of :func:`encode_to_odd_peaks`; a bad path outranks a bad pattern."""
     _require_class(p, "no_even_peak", "to_uh_free")
     _require_pattern(pattern)
-    return SetPartition._trusted(_decode(_rewrite_backward(p.steps), pattern))
+    return SetPartition._trusted(_decode(_rewrite_backward(p), pattern))
 
 
 @dataclass(frozen=True)

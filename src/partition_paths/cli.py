@@ -189,13 +189,13 @@ def _run_check(args):
             record = {"object": str(p), "n": p.n, "blocks": p.block_count}
             for key, avoids_fast in fast:
                 record[key] = avoids_fast(p)
-            record["irreducible"] = bool(p.word) and partitions.is_irreducible(p)
+            record["irreducible"] = bool(p) and partitions.is_irreducible(p)
         else:
             cls = _infer_path_class(text)
             p = paths.parse_path(text, cls)
             record = {
                 "object": str(p),
-                "family": "dyck" if set(p.steps) <= _DYCK_STEPS else cls,
+                "family": "dyck" if set(p) <= _DYCK_STEPS else cls,
                 "semilength": p.semilength,
                 "peaks": len(paths.peaks(p)),
                 **vars(paths.classify(p)),

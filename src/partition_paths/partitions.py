@@ -15,8 +15,11 @@ from typing import Callable, Iterator, NamedTuple, Optional
 from .errors import InvalidObjectError, require_size
 
 
-class SetPartition:
-    """An immutable set partition of [n] in canonical word form.
+class SetPartition(tuple):
+    """An immutable set partition of [n] in canonical word form: the value is
+    the word itself, a tuple of ints, so it equals and hashes as its word, and
+    indexing, slicing and ordering are those of a tuple; ``word`` returns a
+    plain tuple copy.
 
     The empty word represents the partition of the empty set; it is a valid
     value but lies outside the domain of the path bijections.  The
@@ -24,9 +27,9 @@ class SetPartition:
     plain int (not a bool or another int subclass, whose str is no word).
     """
 
-    __slots__ = ("word",)
+    __slots__ = ()
 
-    def __init__(self, word=()):
+    def __new__(cls, word=()):
         try:
             word = tuple(word)
         except TypeError:
@@ -47,42 +50,26 @@ class SetPartition:
                 )
             if c > mx:
                 mx = c
-        self.word = word
+        return tuple.__new__(cls, word)
 
-    @classmethod
-    def _trusted(cls, word: tuple) -> "SetPartition":
-        """Wrap a tuple that is known to be a restricted growth string,
-        without checking it again (for generators and maps that build
-        only such words)."""
-        self = object.__new__(cls)
-        self.word = word
-        return self
+    # _trusted(word) wraps a tuple known to be a restricted growth string
+    # without checking it again, for generators and maps that build only such
+    # words; bound directly, it costs no Python frame per object
+    _trusted = classmethod(tuple.__new__)
+
+    word = property(tuple)
 
     @property
     def n(self) -> int:
         """Size of the ground set."""
-        return len(self.word)
+        return len(self)
 
     @property
     def block_count(self) -> int:
-        return max(self.word) if self.word else 0
-
-    def __len__(self):
-        return len(self.word)
-
-    def __iter__(self):
-        return iter(self.word)
-
-    def __eq__(self, other):
-        if isinstance(other, SetPartition):
-            return self.word == other.word
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.word)
+        return max(self) if self else 0
 
     def __str__(self):
-        return ",".join(map(str, self.word))
+        return ",".join(map(str, self))
 
     def __repr__(self):
         return f"SetPartition({self.word!r})"
@@ -285,28 +272,27 @@ def decompose(p: SetPartition) -> Decomposition:
     """
     if not isinstance(p, SetPartition):
         raise InvalidObjectError(f"decompose expects a SetPartition, got {p!r}")
-    word = p.word
-    if not word:
+    if not p:
         raise InvalidObjectError("cannot decompose the empty partition")
     first = []
     late = [0] * p.block_count
     mx = 0
-    for i, c in enumerate(word):
+    for i, c in enumerate(p):
         if c > mx:
             mx = c
             first.append(i)
         elif c < mx:
             late[c - 1] += 1
-    ends = first[1:] + [len(word)]
-    words = tuple(word[a + 1 : b] for a, b in zip(first, ends))
+    ends = first[1:] + [len(p)]
+    words = tuple(p[a + 1 : b] for a, b in zip(first, ends))
     return Decomposition(len(first), tuple(first), words, tuple(late[:-1]))
 
 
-def _avoids_by_rule(word: tuple, start, step) -> bool:
+def _avoids_by_rule(p: SetPartition, start, step) -> bool:
     """Fold a pattern's rule (see :class:`Pattern`) over a word in one pass."""
     mx = 0
     state = start
-    for c in word:
+    for c in p:
         if c > mx:
             mx = c
         elif c < mx:
@@ -349,12 +335,12 @@ _RULE_12321 = 0, _step_12321
 
 def avoids_12312_fast(p: SetPartition) -> bool:
     """Decide 12312-avoidance in linear time, by :func:`_step_12312`."""
-    return _avoids_by_rule(p.word, *_RULE_12312)
+    return _avoids_by_rule(p, *_RULE_12312)
 
 
 def avoids_12321_fast(p: SetPartition) -> bool:
     """Decide 12321-avoidance in linear time, by :func:`_step_12321`."""
-    return _avoids_by_rule(p.word, *_RULE_12321)
+    return _avoids_by_rule(p, *_RULE_12321)
 
 
 class Pattern(NamedTuple):
@@ -390,12 +376,11 @@ def is_irreducible(p: SetPartition) -> bool:
     One pass: the word splits after position m exactly when every label of
     the first m letters has its last occurrence among them.
     """
-    word = p.word
-    if not word:
+    if not p:
         raise InvalidObjectError("irreducibility is undefined for the empty partition")
-    last = dict(zip(word, range(len(word))))
+    last = dict(zip(p, range(len(p))))
     reach = 0
-    for m, c in enumerate(word[:-1], 1):
+    for m, c in enumerate(p[:-1], 1):
         if last[c] > reach:
             reach = last[c]
         if reach < m:
@@ -412,12 +397,11 @@ def is_irreducible_char(p: SetPartition) -> bool:
     Agrees with :func:`is_irreducible` on every partition (checked
     exhaustively in the test suite).
     """
-    word = p.word
-    if not word:
+    if not p:
         raise InvalidObjectError("irreducibility is undefined for the empty partition")
     waiting = []
     mx = 1
-    for c in word:
+    for c in p:
         while waiting and waiting[-1] > c:
             waiting.pop()
         if c > mx:

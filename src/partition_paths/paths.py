@@ -124,8 +124,11 @@ def _check(steps: str, rules: ClassRules, name="", built=False) -> None:
         raise InvalidObjectError("path does not end with a down step")
 
 
-class LatticePath:
-    """An immutable step sequence with nonnegative prefix heights.
+class LatticePath(str):
+    """An immutable step sequence with nonnegative prefix heights: the value
+    is the step string itself, so it equals and hashes as its steps, and
+    indexing, slicing and ordering are those of a str; ``steps`` returns a
+    plain str copy.
 
     The constructor checks only the height profile and the step letters, by
     the check that :func:`parse_path` runs, with rules that allow all four
@@ -135,52 +138,34 @@ class LatticePath:
     :func:`classify` and :func:`generate_paths` read.
     """
 
-    __slots__ = ("steps",)
+    __slots__ = ()
 
-    def __init__(self, steps=""):
+    def __new__(cls, steps=""):
         if not isinstance(steps, str):
             try:
                 steps = "".join(steps)
             except TypeError:
                 raise InvalidObjectError(f"not a step sequence: {steps!r}") from None
         _check(steps, _ANY_STEP)
-        self.steps = steps
+        return str.__new__(cls, steps)
 
-    @classmethod
-    def _trusted(cls, steps: str) -> "LatticePath":
-        """Wrap a step string known to be a valid path, without checking it
-        again (for generators and maps that build only such strings)."""
-        self = object.__new__(cls)
-        self.steps = steps
-        return self
+    # _trusted(steps) wraps a step string known to be a valid path without
+    # checking it again, for generators and maps that build only such
+    # strings; bound directly, it costs no Python frame per object
+    _trusted = classmethod(str.__new__)
+
+    steps = property(str.__str__)
 
     @property
     def semilength(self) -> int:
-        return sum(units * self.steps.count(s) for s, units in _HALF_UNITS.items()) // 2
+        return sum(units * self.count(s) for s, units in _HALF_UNITS.items()) // 2
 
     def heights(self) -> list:
         """Prefix heights, starting from 0 (length = step count + 1)."""
         hs = [0]
-        for s in self.steps:
+        for s in self:
             hs.append(hs[-1] + _RISE[s])
         return hs
-
-    def __len__(self):
-        return len(self.steps)
-
-    def __iter__(self):
-        return iter(self.steps)
-
-    def __eq__(self, other):
-        if isinstance(other, LatticePath):
-            return self.steps == other.steps
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.steps)
-
-    def __str__(self):
-        return self.steps
 
     def __repr__(self):
         return f"LatticePath({self.steps!r})"
@@ -189,12 +174,11 @@ class LatticePath:
 def peaks(p: LatticePath) -> list:
     """All (index, level) pairs where an up step is immediately followed by a
     down step; the level is the height reached by the up step."""
-    steps = p.steps
     out = []
     h = 0
-    for i, s in enumerate(steps):
+    for i, s in enumerate(p):
         h += _RISE[s]
-        if s == "U" and i + 1 < len(steps) and steps[i + 1] == "D":
+        if s == "U" and i + 1 < len(p) and p[i + 1] == "D":
             out.append((i, h))
     return out
 
@@ -217,10 +201,10 @@ def classify(p: LatticePath) -> PathFlags:
     """
     levels = [level for _, level in peaks(p)]
     return PathFlags(
-        uh_free=not any(f in p.steps for f in CLASS_RULES["uh_free"].forbidden),
+        uh_free=not any(f in p for f in CLASS_RULES["uh_free"].forbidden),
         no_even_peak=all(map(CLASS_RULES["no_even_peak"].peak_ok, levels)),
         no_level_one_peak=all(map(CLASS_RULES["uh_free_no_level_one"].peak_ok, levels)),
-        ends_with_down=_ends_down(p.steps),
+        ends_with_down=_ends_down(p),
     )
 
 
@@ -236,7 +220,7 @@ def check_path(p: LatticePath, path_class: str) -> None:
     left to right and its position."""
     if not isinstance(p, LatticePath):
         raise InvalidObjectError(f"check_path expects a LatticePath, got {p!r}")
-    _check(p.steps, _rules(path_class), path_class, built=True)
+    _check(p, _rules(path_class), path_class, built=True)
 
 
 def parse_path(text: str, path_class: str = "schroder") -> LatticePath:

@@ -25,11 +25,11 @@ def render_ascii(p: LatticePath) -> str:
     One pass over the steps collects the marks (band, column, character);
     each band is then a list of blank cells that the marks are written into.
     """
-    if not p.steps:
+    if not p:
         return ""
     bands, cols, chars = [], [], []
     x = y = 0
-    for s in p.steps:
+    for s in p:
         if s == "U":
             bands.append(y)
             cols.append(x)
@@ -69,7 +69,7 @@ def render_svg(p: LatticePath) -> str:
     visited lattice point."""
     points = [(0, 0)]
     x = y = 0
-    for s in p.steps:
+    for s in p:
         x += _RUN[s]
         y += _RISE[s]
         points.append((x, y))

@@ -1,4 +1,7 @@
+import copy
+import copyreg
 import enum
+import pickle
 import random
 from functools import lru_cache
 from itertools import combinations
@@ -265,3 +268,36 @@ class TestIrreducible:
             is_irreducible(SetPartition())
         with pytest.raises(InvalidObjectError):
             is_irreducible_char(SetPartition())
+
+
+class TestValue:
+    """A partition is its word: a tuple that the constructor checked."""
+
+    def test_attributes_cannot_be_set(self):
+        p = SetPartition((1, 2))
+        for name in ("word", "label"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, (1, 3, 3))
+        assert p == (1, 2) and p.word == (1, 2)
+
+    def test_equals_and_hashes_as_its_word(self):
+        p = SetPartition((1, 2, 1))
+        assert p == (1, 2, 1) and hash(p) == hash((1, 2, 1))
+
+    def test_slice_is_a_plain_tuple(self):
+        p = SetPartition((1, 2, 1))
+        assert p[1:] == (2, 1) and type(p[1:]) is tuple
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_keep_type_and_value(self, duplicate):
+        p = SetPartition((1, 2, 1, 3))
+        q = duplicate(p)
+        assert type(q) is SetPartition and q == p
+
+    def test_unpickling_checks_the_word_again(self):
+        with pytest.raises(InvalidObjectError, match="at position 2"):
+            copyreg.__newobj__(SetPartition, (1, 3))

@@ -1,4 +1,7 @@
+import copy
+import copyreg
 import itertools
+import pickle
 from collections import Counter
 
 import pytest
@@ -7,6 +10,7 @@ from partition_paths import (
     InvalidObjectError,
     LatticePath,
     PATH_CLASSES,
+    SetPartition,
     classify,
     generate_paths,
     large_schroder,
@@ -242,3 +246,40 @@ class TestLatticePath:
 
     def test_repr(self):
         assert repr(LatticePath("UD")) == "LatticePath('UD')"
+
+    def test_attributes_cannot_be_set(self):
+        q = LatticePath("UD")
+        for name in ("steps", "label"):
+            with pytest.raises(AttributeError):
+                setattr(q, name, "UUDD")
+        assert q == "UD" and q.steps == "UD"
+
+    def test_equals_and_hashes_as_its_steps(self):
+        q = LatticePath("UHD")
+        assert q == "UHD" and hash(q) == hash("UHD")
+        assert LatticePath() != SetPartition() and LatticePath("UD") != SetPartition((1,))
+
+    def test_slice_is_a_plain_str(self):
+        q = LatticePath("UHD")
+        assert q[1:] == "HD" and type(q[1:]) is str
+
+    def test_a_path_parses_again(self):
+        with pytest.raises(
+            InvalidObjectError,
+            match="up step immediately followed by a horizontal step at position 1",
+        ):
+            parse_path(LatticePath("UHD"), "uh_free")
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_keep_type_and_value(self, duplicate):
+        p = LatticePath("UHDUD")
+        q = duplicate(p)
+        assert type(q) is LatticePath and q == p
+
+    def test_unpickling_checks_the_steps_again(self):
+        with pytest.raises(InvalidObjectError, match="drops below the axis at position 1"):
+            copyreg.__newobj__(LatticePath, "DU")
