@@ -71,6 +71,10 @@ class SetPartition(tuple):
     def __str__(self):
         return ",".join(map(str, self))
 
+    def __reduce__(self):
+        # pickle protocols 0 and 1 would otherwise skip the checking __new__
+        return type(self), (tuple(self),)
+
     def __repr__(self):
         return f"SetPartition({self.word!r})"
 
@@ -166,9 +170,12 @@ def _grow(n: int, rule: "Pattern") -> Iterator[SetPartition]:
 def _pattern_facts(pat: tuple) -> tuple:
     """What :func:`find_pattern` needs to know of a nonempty pattern word,
     computed once per pattern: whether each letter is the first occurrence of
-    its value, and max(pat) + 1."""
+    its value, how many indices later its value occurs for the last time, and
+    max(pat) + 1."""
     first = tuple(t > top for t, top in zip(pat, accumulate(pat, max, initial=0)))
-    return first, max(pat) + 1
+    last = dict(zip(pat, range(len(pat))))
+    gap = tuple(last[t] - i for i, t in enumerate(pat))
+    return first, gap, max(pat) + 1
 
 
 def find_pattern(p: SetPartition, pattern: SetPartition) -> Optional[tuple]:
@@ -180,7 +187,7 @@ def find_pattern(p: SetPartition, pattern: SetPartition) -> Optional[tuple]:
     order.  This is the containment oracle: an exhaustive depth-first search
     over positions in increasing order, pruned on remaining length and run
     without recursion, so the occurrence returned is the lexicographically
-    first and a pattern of any length is searched.  Two facts cut the work
+    first and a pattern of any length is searched.  Three facts cut the work
     per candidate without skipping any occurrence:
 
     * a pattern letter already matched can only match positions holding
@@ -190,7 +197,11 @@ def find_pattern(p: SetPartition, pattern: SetPartition) -> Optional[tuple]:
     * the pattern is a restricted growth string, so at the first occurrence
       of a letter t the letters 1 .. t-1 are matched, with increasing
       values, and no larger letter is; a value c is consistent exactly when
-      it exceeds the value matched to t-1.
+      it exceeds the value matched to t-1;
+    * a pattern letter that recurs for the last time g indices later needs
+      its matched value to occur again at a position at least j + g, with j
+      the candidate position, so a candidate whose value last occurs before
+      j + g is skipped: no occurrence could be completed from it.
     """
     word, pat = p.word, pattern.word
     n, k = len(word), len(pat)
@@ -198,7 +209,7 @@ def find_pattern(p: SetPartition, pattern: SetPartition) -> Optional[tuple]:
         return ()
     if k > n:
         return None
-    first, letters = _pattern_facts(pat)
+    first, gap, letters = _pattern_facts(pat)
     last = dict(zip(word, range(n)))  # value -> its last position
     value = [0] * letters  # pattern letter -> matched value; value[0] = 0
     pos = [0] * k
@@ -210,22 +221,23 @@ def find_pattern(p: SetPartition, pattern: SetPartition) -> Optional[tuple]:
             low = value[t - 1]
             while j < stop and word[j] <= low:
                 j += 1
-            if j < stop:
-                value[t] = word[j]
         else:
             v = value[t]
             j = word.index(v, j) if last[v] >= j else stop
-        if j < stop:
+        if j >= stop:
+            if not i:
+                return None
+            i -= 1
+            j = pos[i] + 1
+        elif last[word[j]] < j + gap[i]:  # its value cannot recur in time
+            j += 1
+        else:
+            value[t] = word[j]
             pos[i] = j
             i += 1
             if i == k:
                 return tuple(pos)
             j += 1
-        elif i:
-            i -= 1
-            j = pos[i] + 1
-        else:
-            return None
 
 
 def contains_pattern(p: SetPartition, pattern: SetPartition) -> bool:

@@ -158,7 +158,11 @@ class LatticePath(str):
 
     @property
     def semilength(self) -> int:
-        return sum(units * self.count(s) for s, units in _HALF_UNITS.items()) // 2
+        return (len(self) + self.count("H")) // 2  # H spans two half units
+
+    def __reduce__(self):
+        # pickle protocols 0 and 1 would otherwise skip the checking __new__
+        return type(self), (str(self),)
 
     def heights(self) -> list:
         """Prefix heights, starting from 0 (length = step count + 1)."""

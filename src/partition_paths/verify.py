@@ -35,7 +35,7 @@ def _partitions(m: int):
 @lru_cache(maxsize=None)
 def _avoiders(m: int, pattern: str):
     pat = partitions.FAST_PATTERNS[pattern].word
-    return tuple(p for p in _partitions(m) if not partitions.contains_pattern(p, pat))
+    return tuple(p for p in _partitions(m) if partitions.avoids(p, pat))
 
 
 @lru_cache(maxsize=None)

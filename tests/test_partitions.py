@@ -1,6 +1,7 @@
 import copy
 import copyreg
 import enum
+import math
 import pickle
 import random
 from functools import lru_cache
@@ -166,6 +167,65 @@ class TestContainment:
                     assert find_pattern(p, SetPartition(q)) == first.get(q), (p, q)
 
 
+# patterns whose letters recur far apart, where skipping a value that cannot
+# recur in time prunes most, and the two patterns of the bijections
+_FAR_PATTERNS = [
+    *map(parse_partition, ("12341", "12221", "11221", "123123", "121312")),
+    P12312,
+    P12321,
+]
+
+
+def _first_occurrences(word, lengths):
+    """The lexicographically first positions of each standardized
+    subsequence of ``word`` whose length is in ``lengths``."""
+    first = {}
+    for k in lengths:
+        positions = combinations(range(len(word)), k)
+        for at, letters in zip(positions, combinations(word, k)):
+            first.setdefault(_standardized(letters), at)
+    return first
+
+
+class TestPrunedOracle:
+    """find_pattern skips a candidate whose value cannot recur in time; the
+    search must stay exhaustive and return the first occurrence."""
+
+    lengths = sorted({len(q) for q in _FAR_PATTERNS})
+
+    def test_far_recurrences_match_the_definition(self, partitions_of):
+        for n in range(9):
+            for p in partitions_of(n):
+                first = _first_occurrences(p, self.lengths)
+                for q in _FAR_PATTERNS:
+                    assert find_pattern(p, q) == first.get(q.word), (p, q)
+
+    def test_far_recurrences_on_random_words(self):
+        rng = random.Random(18)
+        seen = set()
+        for _ in range(200):
+            word = [1]
+            blocks = rng.randint(2, 6)
+            for _ in range(rng.randint(11, 15)):
+                word.append(rng.randint(1, min(max(word) + 1, blocks)))
+            p = SetPartition(word)
+            first = _first_occurrences(p, self.lengths)
+            for q in _FAR_PATTERNS:
+                want = first.get(q.word)
+                assert find_pattern(p, q) == want, (p, q)
+                seen.add((q, want is None))
+        assert len(seen) == 2 * len(_FAR_PATTERNS)  # both answers for each
+
+    @pytest.mark.parametrize(
+        "pattern", ["1212", "1221"], ids=["noncrossing", "nonnesting"]
+    )
+    def test_catalan_avoiders(self, pattern):
+        avoiding = parse_partition(pattern)
+        for n in range(10):
+            count = sum(1 for _ in generate_partitions(n, avoiding=avoiding))
+            assert count == math.comb(2 * n, n) // (n + 1), n
+
+
 class TestFastPredicates:
     def test_large_example(self):
         assert avoids_12312_fast(parse_partition("11232343411"))
@@ -301,3 +361,15 @@ class TestValue:
     def test_unpickling_checks_the_word_again(self):
         with pytest.raises(InvalidObjectError, match="at position 2"):
             copyreg.__newobj__(SetPartition, (1, 3))
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_every_pickle_protocol_checks_the_word_again(self, protocol):
+        p = SetPartition((1, 2))
+        data = pickle.dumps(p, protocol)
+        q = pickle.loads(data)
+        assert type(q) is SetPartition and q == p
+        # the letter 2 as the payload spells it, made a 3
+        two, three = (b"I2\n", b"I3\n") if protocol == 0 else (b"K\x02", b"K\x03")
+        assert data.count(two) == 1
+        with pytest.raises(InvalidObjectError, match="at position 2"):
+            pickle.loads(data.replace(two, three))

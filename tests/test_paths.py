@@ -18,7 +18,7 @@ from partition_paths import (
     parse_path,
     peaks,
 )
-from partition_paths.paths import check_path
+from partition_paths.paths import _HALF_UNITS, check_path
 
 REF_PATH = "HUUUDUUDDHUUDDHDD"
 
@@ -240,6 +240,18 @@ class TestLatticePath:
         assert LatticePath("UDH").semilength == 2
         assert LatticePath("UUDL").semilength == 2
 
+    def test_semilength_is_the_half_unit_sum(self):
+        checked = 0
+        for length in range(9):
+            for steps in itertools.product("UDHL", repeat=length):
+                try:
+                    q = LatticePath(steps)
+                except InvalidObjectError:
+                    continue
+                assert q.semilength == sum(map(_HALF_UNITS.get, q)) // 2, q
+                checked += 1
+        assert checked > 1000
+
     def test_equality_and_hash(self):
         assert LatticePath("UD") == LatticePath("UD")
         assert len({LatticePath("UD"), LatticePath("UD")}) == 1
@@ -283,3 +295,13 @@ class TestLatticePath:
     def test_unpickling_checks_the_steps_again(self):
         with pytest.raises(InvalidObjectError, match="drops below the axis at position 1"):
             copyreg.__newobj__(LatticePath, "DU")
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_every_pickle_protocol_checks_the_steps_again(self, protocol):
+        p = LatticePath("UD")
+        data = pickle.dumps(p, protocol)
+        q = pickle.loads(data)
+        assert type(q) is LatticePath and q == p
+        assert data.count(b"UD") == 1
+        with pytest.raises(InvalidObjectError, match="drops below the axis at position 1"):
+            pickle.loads(data.replace(b"UD", b"DU"))
