@@ -26,7 +26,10 @@ from .errors import InvalidObjectError, PreconditionError
 from .partitions import FAST_PATTERNS, SetPartition, find_pattern
 from .paths import LatticePath, check_path
 
-PATTERNS = tuple(FAST_PATTERNS)
+# Each pattern's decode rule: a non-peak down step takes the largest free
+# label (the deque's back) for 12312 and the smallest (its front) for 12321.
+_TAKE = {"12312": "pop", "12321": "popleft"}
+PATTERNS = tuple(_TAKE)
 
 
 def _require_pattern(pattern: str) -> None:
@@ -115,7 +118,7 @@ def _decode(steps: str, pattern: str) -> tuple:
     # its maximum is the back and its minimum the front.  It holds as many
     # labels as the height before the step, so no down step finds it empty.
     free = deque()
-    take = free.pop if pattern == "12312" else free.popleft
+    take = getattr(free, _TAKE[pattern])
     seen_peaks = 0
     for i, s in enumerate(steps):
         if s == "U":

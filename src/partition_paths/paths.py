@@ -25,9 +25,9 @@ class ClassRules:
     lists two-step factors that may not occur; a peak at level h is allowed
     exactly when ``peak_ok(h)`` holds, and ``peak_rule`` names the failure;
     ``end_down`` asks a nonempty path to end with a down step.  ``_moves``,
-    derived from the alphabet and the forbidden factors, is the one table
-    that generation and checking share; it is private, since changing it
-    would change both.
+    derived from the alphabet and the forbidden factors, is the table that
+    generation searches; it is private, so that no caller can change it
+    apart from the rules that the check reads.
     """
 
     alphabet: str
@@ -44,12 +44,6 @@ class ClassRules:
             prev: {s: _RISE[s] for s in self.alphabet if prev + s not in self.forbidden}
             for prev in ("", *self.alphabet)
         }
-
-    @cached_property
-    def _bad_pairs(self) -> tuple:
-        """The two-step factors over the alphabet that ``_moves`` leaves out."""
-        a = self.alphabet
-        return tuple(p + s for p in a for s in a if s not in self._moves[p])
 
 
 # The reason each forbidden factor reports.  UL and LU state the skew rule
@@ -88,19 +82,22 @@ def _ends_down(steps: str) -> bool:
     return not steps or steps[-1] == "D"
 
 
-def _check(steps: str, rules: ClassRules, name="", built=False) -> None:
-    """Raise :class:`InvalidObjectError` naming the first rule of ``rules``
-    that the steps break, in position order; a class ``name`` goes into an
-    unknown-letter message.  String searches find the first step that the
-    moves do not allow, and a walk over the steps before it finds a drop or
-    a forbidden peak; a ``built`` path needs that walk only for a peak rule."""
+def _check(steps: str, path_class=None) -> None:
+    """Raise :class:`InvalidObjectError` naming the first rule of the class
+    that the steps break, in position order; ``None`` checks the letters and
+    heights alone, as the constructor does, and names no class.  String
+    searches find the first step that the class's moves do not allow, and a
+    walk over the steps before it finds a drop or a forbidden peak; a
+    :class:`LatticePath` proves its heights, so it is walked only for a peak
+    rule."""
+    rules = _ANY_STEP if path_class is None else _rules(path_class)
     stop = len(steps) - len(steps.lstrip(rules.alphabet))  # first step not allowed
-    for pair in rules._bad_pairs:
+    for pair in rules.forbidden:
         k = steps.find(pair, 0, stop)
         if k >= 0:
             stop = k + 1
     peak_ok, prev, h = rules.peak_ok, "", 0
-    rest = iter("" if built and not peak_ok else steps[:stop])
+    rest = iter("" if isinstance(steps, LatticePath) and not peak_ok else steps[:stop])
     for s in rest:
         h += _RISE[s]
         if h < 0 or (peak_ok and s == "D" and prev == "U" and not peak_ok(h + 1)):
@@ -115,8 +112,8 @@ def _check(steps: str, rules: ClassRules, name="", built=False) -> None:
         reason = f"unknown step character {s!r} at position {i}"
         if s in rules.alphabet:
             reason = _FACTOR_REASONS[steps[stop - 1 : i]].format(first=stop, second=i)
-        elif name:
-            reason += f" (class {name} uses {'/'.join(rules.alphabet)})"
+        elif path_class:
+            reason += f" (class {path_class} uses {'/'.join(rules.alphabet)})"
         raise InvalidObjectError(reason)
     if h:
         raise InvalidObjectError(f"path ends at height {h}, expected 0")
@@ -146,7 +143,7 @@ class LatticePath(str):
                 steps = "".join(steps)
             except TypeError:
                 raise InvalidObjectError(f"not a step sequence: {steps!r}") from None
-        _check(steps, _ANY_STEP)
+        _check(steps)
         return str.__new__(cls, steps)
 
     # _trusted(steps) wraps a step string known to be a valid path without
@@ -224,7 +221,7 @@ def check_path(p: LatticePath, path_class: str) -> None:
     left to right and its position."""
     if not isinstance(p, LatticePath):
         raise InvalidObjectError(f"check_path expects a LatticePath, got {p!r}")
-    _check(p, _rules(path_class), path_class, built=True)
+    _check(p, path_class)
 
 
 def parse_path(text: str, path_class: str = "schroder") -> LatticePath:
@@ -232,7 +229,7 @@ def parse_path(text: str, path_class: str = "schroder") -> LatticePath:
     if not isinstance(text, str):
         raise InvalidObjectError(f"a path must be parsed from a str, got {text!r}")
     text = text.strip()
-    _check(text, _rules(path_class), path_class)
+    _check(text, path_class)
     return LatticePath._trusted(text)
 
 
@@ -242,8 +239,8 @@ def generate_paths(n: int, path_class: str = "schroder") -> Iterator[LatticePath
 
     Iterative depth-first search over step choices, pruned by height and
     budget.  The class rules are bound once: the children of each step are
-    its row of the class's ``_moves`` table, whose missing pairs
-    :func:`parse_path` looks for, and the peak rule gives the levels at which
+    its row of the class's ``_moves`` table, which leaves out the factors
+    that :func:`parse_path` looks for, and the peak rule gives the levels at which
     U may not be followed by D.  The pruning keeps every prefix above the
     axis and lets every leaf end on it, so leaves are not validated again.
     Any n is taken; the CLI's list and count hold n to their exhaustive limit.

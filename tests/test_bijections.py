@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +24,7 @@ from partition_paths import (
     to_odd_peaks,
     to_uh_free,
 )
+from partition_paths import bijections
 from partition_paths.bijections import MAPS
 from partition_paths.partitions import FAST_PATTERNS
 from partition_paths.paths import check_path
@@ -238,6 +243,41 @@ class TestCompositionErrors:
         with pytest.raises(PreconditionError) as exc:
             decode_from_odd_peaks(LatticePath(steps), pattern)
         assert (str(exc.value), exc.value.witness) == (message, None)
+
+
+# A third pattern registered for pruning, with the maps imported after it.
+_THIRD_ROW = """
+import importlib
+from partition_paths import bijections, partitions
+from partition_paths.errors import PreconditionError
+from partition_paths.paths import LatticePath
+
+word = partitions.SetPartition((1, 2, 1, 2))
+row = partitions.Pattern(word, lambda p: partitions.avoids(p, word), None, None)
+partitions.FAST_PATTERNS["1212"] = row
+importlib.reload(bijections)
+calls = (
+    (bijections.encode, partitions.SetPartition((1, 2, 3, 2, 1))),
+    (bijections.decode, LatticePath("UUDUUDDD")),
+)
+for fn, arg in calls:
+    try:
+        print(fn(arg, "1212"))
+    except PreconditionError as exc:
+        print(exc)
+"""
+
+
+def test_a_pattern_without_a_decode_rule_is_unsupported():
+    """The maps state their own patterns: a pattern that only the pruning
+    registry knows has no decode rule, so encode and decode refuse it."""
+    paths = [str(Path(bijections.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _THIRD_ROW], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [_unsupported("1212")] * 2
 
 
 # Per map: the pattern its partitions avoid (None for the path rewrite psi)

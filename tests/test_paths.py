@@ -122,6 +122,16 @@ class TestParse:
                 parsed = _message(parse_path, p.steps, path_class)
                 assert _message(check_path, p, path_class) == parsed, (p, path_class)
 
+    def test_a_built_path_is_walked_again_only_for_a_peak_rule(self):
+        # the type proves the heights, so a forged path that drops below the
+        # axis is caught only by the classes whose peak rule needs the walk
+        forged = LatticePath._trusted("DUUD")
+        drop = "path drops below the axis at position 1"
+        for path_class in PATH_CLASSES:
+            peak_rule = path_class in ("no_even_peak", "uh_free_no_level_one")
+            want = drop if peak_rule else None
+            assert _message(check_path, forged, path_class) == want, path_class
+
     def test_uh_free_violation(self):
         with pytest.raises(InvalidObjectError, match="horizontal step at position 1"):
             parse_path("UHD", "uh_free")
