@@ -251,6 +251,9 @@ def _write(records, out, fmt) -> None:
                     f"{k}={str(v).lower() if isinstance(v, bool) else v}"
                     for k, v in record.items()
                 )
+            # two writes, not one f"{record}\n": the join copies each drawing,
+            # and into an in-memory stdout it raised the render stage's peak
+            # memory by a fifth; so _run_render's blank line is a record too
             out.write(str(record))
             out.write("\n")
     finally:

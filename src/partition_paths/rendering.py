@@ -1,5 +1,7 @@
 """Plain-text and SVG drawings of lattice paths."""
 
+from itertools import accumulate
+
 from .errors import InvalidObjectError
 from .paths import LatticePath, _RISE, _RUN
 
@@ -22,41 +24,39 @@ def render_ascii(p: LatticePath) -> str:
     level; a cell crossed by two different segments renders as 'X'.  The
     empty path renders as the empty string.
 
-    One pass over the steps collects the marks (band, column, character);
-    each band is then a list of blank cells that the marks are written into.
+    One pass over the steps writes each mark into the row of its band; the
+    row, blank cells as wide as the drawing, is added when the path first
+    reaches that band.
     """
     if not p:
         return ""
-    bands, cols, chars = [], [], []
+    width = len(p) + p.count("H")  # the end's x, the rightmost unless L turns back
+    if "L" in p:
+        width = max(accumulate(map(_RUN.__getitem__, p)))
+    rows = []
     x = y = 0
     for s in p:
         if s == "U":
-            bands.append(y)
-            cols.append(x)
-            chars.append("/")
+            if y == len(rows):
+                rows.append([" "] * width)
+            row, col, ch = rows[y], x, "/"
             x += 1
             y += 1
         elif s == "D":
             y -= 1
-            bands.append(y)
-            cols.append(x)
-            chars.append("\\")
+            row, col, ch = rows[y], x, "\\"
             x += 1
         elif s == "H":
-            bands += (y, y)
-            cols += (x, x + 1)
-            chars += "__"
+            if y == len(rows):
+                rows.append([" "] * width)
+            row, col, ch = rows[y], x + 1, "_"
+            old = row[x]
+            row[x] = ch if old == " " or old == ch else "X"
             x += 2
         else:
             x -= 1
             y -= 1
-            bands.append(y)
-            cols.append(x)
-            chars.append("/")
-    width = max(cols) + 1
-    rows = [[" "] * width for _ in range(max(bands) + 1)]
-    for band, col, ch in zip(bands, cols, chars):
-        row = rows[band]
+            row, col, ch = rows[y], x, "/"
         old = row[col]
         row[col] = ch if old == " " or old == ch else "X"
     lines = ["".join(row).rstrip() for row in reversed(rows)]

@@ -1,3 +1,6 @@
+import random
+import tracemalloc
+
 import pytest
 
 from partition_paths import (
@@ -55,6 +58,22 @@ def valid_words(max_steps):
     return [word for word, h in words if h == 0]
 
 
+def random_words(count, seed):
+    """count valid UDHL words of 10 to 1,000 steps: U is as likely as a
+    down step (D or L), among the steps that keep the height at least 0 and
+    at most the number of steps left, so each word ends on the axis."""
+    rng = random.Random(seed)
+    words = []
+    for _ in range(count):
+        n, h, word = rng.randint(10, 1000), 0, []
+        for left in range(n, 0, -1):
+            s = rng.choice([s for s in "UUHDL" if 0 <= h + RISE[s] < left])
+            word.append(s)
+            h += RISE[s]
+        words.append("".join(word))
+    return words
+
+
 class TestAscii:
     def test_single_peak_is_two_lines(self):
         out = render_ascii(LatticePath("UD"))
@@ -90,6 +109,38 @@ class TestAscii:
             assert out == render_by_cells(w), w
             crossed += "X" in out
         assert crossed == 3415
+
+    @pytest.mark.parametrize("path_class", ["skew_dyck", "no_even_peak"])
+    def test_matches_cell_reference_past_nine_steps(self, paths_of, path_class):
+        for n in range(8):
+            for p in paths_of(n, path_class):
+                assert render_ascii(p) == render_by_cells(p), p
+
+    def test_matches_cell_reference_on_long_random_words(self):
+        words = random_words(100, seed=2008)
+        # the sample mixes H and L, retraces (UL, LU), and returns to the
+        # axis many times within a word
+        assert sum("H" in w and "L" in w for w in words) >= 90
+        assert min(map(len, words)) >= 10 and max(map(len, words)) > 900
+        assert sum("UL" in w and "LU" in w for w in words) >= 90
+        returns = [LatticePath(w).heights()[1:-1].count(0) for w in words]
+        assert sum(r >= 3 for r in returns) >= 50
+        for w in words:
+            assert render_ascii(LatticePath(w)) == render_by_cells(w), w
+
+    def test_memory_is_linear_in_the_drawing(self):
+        # LU retraces the path 50,000 times: the drawing is 301 rows of 600
+        # cells, while len(p) + count("H") would make each row 100,600 wide
+        p = LatticePath("U" * 300 + "LU" * 50000 + "D" * 300)
+        tracemalloc.start()
+        try:
+            out = render_ascii(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        lines = out.split("\n")
+        assert len(lines) == 301 and lines[-1] == "-" * 600
+        assert peak < 16 * 2**20
 
 
 class TestSvg:
