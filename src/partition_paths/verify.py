@@ -1,10 +1,14 @@
 """Cross-module identity suite.
 
 Every structural claim the library makes is checked here exhaustively at
-desk scale: generator counts against closed forms, fast predicates against
-the containment oracle, bijection roundtrips and image sets, statistic
-transport, and the series identities.  Checks report the smallest size and
-the lexicographically first counterexample on failure.
+desk scale: counts, fast predicates against the containment oracle,
+bijection roundtrips and image sets, statistic transport, and the series
+identities.  Checks report the smallest size and the lexicographically
+first counterexample on failure.  A count check is a row (``_equation``):
+a reference count of n, or of (n, k), and sources that must equal it.  One
+comparer, ``_equate``, reports the smallest n, then the smallest k, then the
+first source in row order, counting a source only when it gets there.  To
+check one more count, add a source to its row in ``CHECKS``.
 """
 
 from collections import Counter
@@ -49,12 +53,49 @@ def _by_size(check, first=0):
     return lambda max_n: next(filter(None, map(check, range(first, max_n + 1))), None)
 
 
+def _equate(reference, sources, by_k: bool, n: int) -> Optional[str]:
+    """The first mismatch of one census equation at size n, or None: its
+    words, formatted with n, k, m = n + 1, got and want."""
+    want, template = reference
+    counts = []
+    for k in range(n + 1) if by_k else (None,):
+        expected = want(n) if k is None else want(n, k)
+        for i, (count, words) in enumerate(sources):
+            if i == len(counts):
+                counts.append(count(n))
+            got = counts[i] if k is None else counts[i][k]
+            if got != expected:
+                words = template.replace("{source}", words)
+                return words.format(n=n, k=k, m=n + 1, got=got, want=expected)
+
+
+def _equation(reference, *sources, by_k=False):
+    """The check of sizes 0 .. max_n of one census equation: the reference
+    ``(want, words)`` gives ``want(n)``, or ``want(n, k)`` for k in 0..n if
+    ``by_k``, each source ``(count, words)`` a number or a Counter by k, and
+    a failure the reference's words with the source's at ``{source}``."""
+    return _by_size(partial(_equate, reference, sources, by_k))
+
+
+def _each_pattern(count, words: str) -> tuple:
+    """One source per bijection pattern: ``count`` of its avoiders of [n+1]."""
+    return tuple(
+        (lambda n, pat=pattern: count(_avoiders(n + 1, pat)),
+         words.replace("{pattern}", pattern))
+        for pattern in bijections.PATTERNS
+    )
+
+
+_BELL = (lambda n: enumeration.bell_number(n), "n={n}: {source}, Bell number is {want}")
+_RECURRENCE = "n={n}: {source}, recurrence gives {want}"
+_SERIES = "n={n}: {source}, series coefficient is {want}"
+
+
 def _check_partition_generator(n: int) -> Optional[str]:
-    ps = _partitions(n)
-    bell = enumeration.bell_number(n)
-    if len(ps) != bell:
-        return f"n={n}: generated {len(ps)} partitions, Bell number is {bell}"
-    words = [p.word for p in ps]
+    generated = [(lambda n: len(_partitions(n)), "generated {got} partitions")]
+    if failure := _equate(_BELL, generated, False, n):
+        return failure
+    words = [p.word for p in _partitions(n)]
     if sorted(words) != words:
         return f"n={n}: generation order is not lexicographic"
     if len(set(words)) != len(words):
@@ -87,37 +128,11 @@ def _check_irreducible_agreement(n: int) -> Optional[str]:
             return f"n={n}: irreducibility definitions disagree on {p}"
 
 
-def _check_row(cls: str, n: int) -> Optional[str]:
-    """The generated path count against the recurrence row named after the class."""
-    want = enumeration._terms(cls, n)[n]
-    got = len(_paths(n, cls))
-    if got != want:
-        return f"n={n}: generated {got} {cls} paths, recurrence gives {want}"
-
-
-def _check_uh_free_count(n: int) -> Optional[str]:
-    a = len(_paths(n, "uh_free"))
-    b = len(_paths(n, "no_even_peak"))
-    if a != b:
-        return f"n={n}: {a} UH-free paths but {b} without even-level peaks"
-
-
 def _check_paths_reparse(n: int) -> Optional[str]:
     for cls in paths.PATH_CLASSES:
         for p in _paths(n, cls):
             if paths.parse_path(str(p), cls) != p:
                 return f"n={n}: {cls} path {p} does not survive parse"
-
-
-def _check_dyck_peaks_narayana(n: int) -> Optional[str]:
-    census = Counter(len(paths.peaks(p)) for p in _paths(n, "dyck"))
-    for k in range(n + 1):
-        want = enumeration.narayana(n, k)
-        if census.get(k, 0) != want:
-            return (
-                f"n={n}: {census.get(k, 0)} Dyck paths with {k} peaks, "
-                f"Narayana number is {want}"
-            )
 
 
 def _check_encode_decode(pattern: str, n: int) -> Optional[str]:
@@ -177,66 +192,6 @@ def _check_odd_peak_rewrite(n: int) -> Optional[str]:
         return f"n={n}: rewrite image differs from the no-even-peak set"
 
 
-def _check_block_counts(n: int) -> Optional[str]:
-    peak_census = Counter(len(paths.peaks(p)) for p in _paths(n, "uh_free"))
-    for pattern in bijections.PATTERNS:
-        block_census = Counter(p.block_count - 1 for p in _avoiders(n + 1, pattern))
-        for k in range(n + 1):
-            formula = enumeration.count_blocks(n, k)
-            if formula != block_census.get(k, 0):
-                return (
-                    f"n={n} k={k}: formula gives {formula}, census of "
-                    f"{pattern}-avoiders gives {block_census.get(k, 0)}"
-                )
-            if formula != peak_census.get(k, 0):
-                return (
-                    f"n={n} k={k}: formula gives {formula}, peak census "
-                    f"gives {peak_census.get(k, 0)}"
-                )
-
-
-def _check_series_f(n: int) -> Optional[str]:
-    want = enumeration.series_f(n).coefficient(n)
-    got = len(_paths(n, "uh_free"))
-    if got != want:
-        return f"n={n}: {got} UH-free paths, series coefficient is {want}"
-    for pattern in bijections.PATTERNS:
-        avoiders = len(_avoiders(n + 1, pattern))
-        if avoiders != want:
-            return (
-                f"n={n}: {avoiders} {pattern}-avoiding partitions of "
-                f"[{n + 1}], series coefficient is {want}"
-            )
-    total = sum(enumeration.count_blocks(n, k) for k in range(n + 1))
-    if total != want:
-        return f"n={n}: refined counts sum to {total}, series coefficient is {want}"
-
-
-def _check_series_f_prime(n: int) -> Optional[str]:
-    want = enumeration.series_f_prime(n).coefficient(n)
-    no_level_one = len(_paths(n, "uh_free_no_level_one"))
-    if no_level_one != want:
-        return (
-            f"n={n}: {no_level_one} UH-free paths without level-one peaks, "
-            f"series coefficient is {want}"
-        )
-    for pattern in bijections.PATTERNS:
-        irr = sum(
-            1 for p in _avoiders(n + 1, pattern) if partitions.is_irreducible(p)
-        )
-        if irr != want:
-            return (
-                f"n={n}: {irr} irreducible {pattern}-avoiders, series "
-                f"coefficient is {want}"
-            )
-    end_down = len(_paths(n, "skew_dyck_end_down"))
-    if end_down != want:
-        return (
-            f"n={n}: {end_down} skew Dyck paths ending with a down step, "
-            f"series coefficient is {want}"
-        )
-
-
 def _check_series_identity(max_n: int) -> Optional[str]:
     # always order 16, whatever max_n (at most its cap, 16); its PASS line
     # still prints the capped max_n, which ROADMAP item 1 mends
@@ -260,17 +215,55 @@ CHECKS = (
     ("fast-avoidance-matches-oracle", 9, _by_size(_check_fast_predicates)),
     ("decompose-reassembles", 10, _by_size(_check_decompose_roundtrip, 1)),
     ("irreducible-definitions-agree", 9, _by_size(_check_irreducible_agreement, 1)),
-    ("schroder-count-matches-recurrence", 8, _by_size(partial(_check_row, "schroder"))),
-    ("uh-free-count-equals-no-even-peak-count", 8, _by_size(_check_uh_free_count)),
+    ("schroder-count-matches-recurrence", 8, _equation(
+        (lambda n: enumeration._terms("schroder", n)[n], _RECURRENCE),
+        (lambda n: len(_paths(n, "schroder")), "generated {got} schroder paths"),
+    )),
+    ("uh-free-count-equals-no-even-peak-count", 8, _equation(
+        (lambda n: len(_paths(n, "uh_free")),
+         "n={n}: {want} UH-free paths but {source}"),
+        (lambda n: len(_paths(n, "no_even_peak")), "{got} without even-level peaks"),
+    )),
     ("generated-paths-reparse", 8, _by_size(_check_paths_reparse)),
-    ("dyck-peak-distribution-is-narayana", 8, _by_size(_check_dyck_peaks_narayana)),
-    ("skew-dyck-counts", 5, _by_size(partial(_check_row, "skew_dyck"))),
+    ("dyck-peak-distribution-is-narayana", 8, _equation(
+        (lambda n, k: enumeration.narayana(n, k),
+         "n={n}: {source}, Narayana number is {want}"),
+        (lambda n: Counter(len(paths.peaks(p)) for p in _paths(n, "dyck")),
+         "{got} Dyck paths with {k} peaks"),
+        by_k=True,
+    )),
+    ("skew-dyck-counts", 5, _equation(
+        (lambda n: enumeration._terms("skew_dyck", n)[n], _RECURRENCE),
+        (lambda n: len(_paths(n, "skew_dyck")), "generated {got} skew_dyck paths"),
+    )),
     ("encode-decode-12312", 8, _by_size(partial(_check_encode_decode, "12312"))),
     ("encode-decode-12321", 8, _by_size(partial(_check_encode_decode, "12321"))),
     ("odd-peak-rewrite-bijection", 8, _by_size(_check_odd_peak_rewrite)),
-    ("refined-block-counts", 8, _by_size(_check_block_counts)),
-    ("series-f-counts", 8, _by_size(_check_series_f)),
-    ("series-f-prime-counts", 7, _by_size(_check_series_f_prime)),
+    ("refined-block-counts", 8, _equation(
+        (lambda n, k: enumeration.count_blocks(n, k),
+         "n={n} k={k}: formula gives {want}, {source}"),
+        *_each_pattern(lambda ps: Counter(p.block_count - 1 for p in ps),
+                       "census of {pattern}-avoiders gives {got}"),
+        (lambda n: Counter(len(paths.peaks(p)) for p in _paths(n, "uh_free")),
+         "peak census gives {got}"),
+        by_k=True,
+    )),
+    ("series-f-counts", 8, _equation(
+        (lambda n: enumeration.series_f(n).coefficient(n), _SERIES),
+        (lambda n: len(_paths(n, "uh_free")), "{got} UH-free paths"),
+        *_each_pattern(len, "{got} {pattern}-avoiding partitions of [{m}]"),
+        (lambda n: sum(enumeration.count_blocks(n, k) for k in range(n + 1)),
+         "refined counts sum to {got}"),
+    )),
+    ("series-f-prime-counts", 7, _equation(
+        (lambda n: enumeration.series_f_prime(n).coefficient(n), _SERIES),
+        (lambda n: len(_paths(n, "uh_free_no_level_one")),
+         "{got} UH-free paths without level-one peaks"),
+        *_each_pattern(lambda ps: sum(map(partitions.is_irreducible, ps)),
+                       "{got} irreducible {pattern}-avoiders"),
+        (lambda n: len(_paths(n, "skew_dyck_end_down")),
+         "{got} skew Dyck paths ending with a down step"),
+    )),
     ("series-algebraic-identity", 16, _check_series_identity),
 )
 
@@ -280,14 +273,19 @@ def run_checks(max_n: int) -> list:
 
     Results come back in the fixed declaration order, so output built from
     them is deterministic; a library error raised inside a check is its failure.
+    The censuses the checks build are freed when the run ends.
     """
     require_size(max_n, "max_n")
     results = []
-    for name, cap, fn in CHECKS:
-        bound = min(max_n, cap)
-        try:
-            failure = fn(bound)
-        except LibraryError as exc:
-            failure = f"raised {type(exc).__name__}: {exc}"
-        results.append(CheckResult(name, bound, failure))
+    try:
+        for name, cap, fn in CHECKS:
+            bound = min(max_n, cap)
+            try:
+                failure = fn(bound)
+            except LibraryError as exc:
+                failure = f"raised {type(exc).__name__}: {exc}"
+            results.append(CheckResult(name, bound, failure))
+    finally:
+        for census in (_partitions, _avoiders, _paths):
+            census.cache_clear()
     return results
