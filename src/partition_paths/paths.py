@@ -7,6 +7,7 @@ Generation order is lexicographic by step string under U < D < H < L.
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from operator import length_hint
 from typing import Callable, Iterator, Optional
 
@@ -163,10 +164,7 @@ class LatticePath(str):
 
     def heights(self) -> list:
         """Prefix heights, starting from 0 (length = step count + 1)."""
-        hs = [0]
-        for s in self:
-            hs.append(hs[-1] + _RISE[s])
-        return hs
+        return list(accumulate(map(_RISE.__getitem__, self), initial=0))
 
     def __repr__(self):
         return f"LatticePath({self.steps!r})"

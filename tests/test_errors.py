@@ -41,6 +41,8 @@ from partition_paths import (
     partitions,
     paths,
     render,
+    render_ascii,
+    render_svg,
     run_checks,
     series,
     series_f,
@@ -134,6 +136,8 @@ API = [
     (decompose, [[PARTITION]], partitions.Decomposition),
     (paths.check_path, [[UH_FREE], ["schroder", "uh_free"]], type(None)),
     (render, [[UH_FREE], ["ascii", "svg"]], str),
+    (render_ascii, [[UH_FREE]], str),
+    (render_svg, [[UH_FREE]], str),
     (
         generate_partitions,
         [[0, 3], [None, PARTITION, SetPartition((1, 2, 1, 2))]],

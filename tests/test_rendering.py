@@ -6,6 +6,7 @@ import pytest
 from partition_paths import (
     InvalidObjectError,
     LatticePath,
+    SetPartition,
     render,
     render_ascii,
     render_svg,
@@ -13,16 +14,21 @@ from partition_paths import (
 
 REF_PATH = "HUUUDUUDDHUUDDHDD"
 RISE = {"U": 1, "D": -1, "H": 0, "L": -1}
+RUN = {"U": 1, "D": 1, "H": 2, "L": -1}
 
 
-def render_by_cells(steps):
+def render_by_cells(steps, crossers=None):
     # Literal reference: a dict from (band, column) to the cell's character.
+    # When crossers is a set, each step kind that marks a cell holding a
+    # different mark goes into it, with the cell's column less the step's x.
     if not steps:
         return ""
     cells = {}
 
     def put(band, col, ch):
         old = cells.get((band, col))
+        if old is not None and old != ch and crossers is not None:
+            crossers.add((s, col - x))
         cells[(band, col)] = ch if old is None or old == ch else "X"
 
     x = y = 0
@@ -36,7 +42,7 @@ def render_by_cells(steps):
         else:
             put(y, x, "_")
             put(y, x + 1, "_")
-        x += {"U": 1, "D": 1, "H": 2, "L": -1}[s]
+        x += RUN[s]
         y += RISE[s]
     top = max(band for band, _ in cells)
     width = max(col for _, col in cells) + 1
@@ -46,6 +52,39 @@ def render_by_cells(steps):
     ]
     rows.append("-" * width)
     return "\n".join(rows)
+
+
+def svg_by_steps(steps):
+    # Literal reference: the point list built one step at a time.
+    points = [(0, 0)]
+    x = y = 0
+    for s in steps:
+        x += RUN[s]
+        y += RISE[s]
+        points.append((x, y))
+    max_x = max(px for px, _ in points)
+    max_y = max(py for _, py in points)
+    width, height = max_x * 20 + 20, max_y * 20 + 20
+
+    def sx(px):
+        return 10 + px * 20
+
+    def sy(py):
+        return 10 + (max_y - py) * 20
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">'
+    ]
+    if len(points) > 1:
+        d = f"M {sx(points[0][0])} {sy(points[0][1])}" + "".join(
+            f" L {sx(px)} {sy(py)}" for px, py in points[1:]
+        )
+        parts.append(f'<path d="{d}" fill="none" stroke="black" stroke-width="1"/>')
+    for px, py in dict.fromkeys(points):
+        parts.append(f'<circle cx="{sx(px)}" cy="{sy(py)}" r="2" fill="black"/>')
+    parts.append("</svg>")
+    return "\n".join(parts)
 
 
 def valid_words(max_steps):
@@ -103,12 +142,14 @@ class TestAscii:
     def test_matches_cell_reference_on_every_short_path(self):
         words = valid_words(9)
         assert len(words) == 9306  # the empty path and 9,305 others
-        crossed = 0
+        crossed, crossers = 0, set()
         for w in words:
             out = render_ascii(LatticePath(w))
-            assert out == render_by_cells(w), w
+            assert out == render_by_cells(w, crossers), w
             crossed += "X" in out
         assert crossed == 3415
+        # only the left cell of an H ever lands on a different mark
+        assert crossers == {("H", 0)}
 
     @pytest.mark.parametrize("path_class", ["skew_dyck", "no_even_peak"])
     def test_matches_cell_reference_past_nine_steps(self, paths_of, path_class):
@@ -125,8 +166,10 @@ class TestAscii:
         assert sum("UL" in w and "LU" in w for w in words) >= 90
         returns = [LatticePath(w).heights()[1:-1].count(0) for w in words]
         assert sum(r >= 3 for r in returns) >= 50
+        crossers = set()
         for w in words:
-            assert render_ascii(LatticePath(w)) == render_by_cells(w), w
+            assert render_ascii(LatticePath(w)) == render_by_cells(w, crossers), w
+        assert crossers == {("H", 0)}
 
     def test_memory_is_linear_in_the_drawing(self):
         # LU retraces the path 50,000 times: the drawing is 301 rows of 600
@@ -171,12 +214,31 @@ class TestSvg:
         assert out.count("<circle") == 1
         assert "<path" not in out
 
+    @pytest.mark.parametrize("path_class", ["schroder", "skew_dyck"])
+    def test_matches_step_reference(self, paths_of, path_class):
+        for n in range(8):
+            for p in paths_of(n, path_class):
+                assert render_svg(p) == svg_by_steps(p), p
+
+    def test_matches_step_reference_on_long_random_words(self):
+        for w in random_words(100, seed=2008):
+            assert render_svg(LatticePath(w)) == svg_by_steps(w), w
+
 
 class TestDispatch:
     def test_formats(self):
         p = LatticePath("UD")
         assert render(p, "ascii") == render_ascii(p)
         assert render(p, "svg") == render_svg(p)
+
+    @pytest.mark.parametrize("renderer", [render_ascii, render_svg])
+    @pytest.mark.parametrize("value", ["UX", None, [], SetPartition((1, 2))])
+    def test_a_renderer_takes_only_a_path(self, renderer, value):
+        message = f"^{renderer.__name__} expects a LatticePath, got "
+        with pytest.raises(InvalidObjectError, match=message):
+            renderer(value)
+        with pytest.raises(InvalidObjectError, match=message):
+            render(value, renderer.__name__[len("render_") :])
 
     def test_unknown_format(self):
         with pytest.raises(InvalidObjectError):
