@@ -4,7 +4,8 @@ Each subcommand's runner yields records lazily; :func:`main` alone parses,
 dispatches, writes the records and chooses the exit code.  Output is
 line-oriented and byte-deterministic for a fixed invocation, so commands
 compose in shell pipelines.  Exit codes: 0 success, 1 invalid input object
-(or standard output closed by its reader), 2 precondition violation,
+(or standard input that cannot be read, or standard output that cannot be
+written or is closed by its reader), 2 precondition violation,
 3 verification failure, 64 usage error (including an --out path that cannot
 be written).
 """
@@ -13,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 
 from . import bijections, enumeration, partitions, paths, rendering, verify
 from .errors import (
@@ -126,7 +128,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _input_objects(args) -> list:
-    return args.objects or sys.stdin.read().splitlines()
+    try:
+        return args.objects or sys.stdin.read().splitlines()
+    except OSError as exc:  # as a LibraryError, so main reports no failed write
+        message = f"cannot read standard input: {exc.strerror}"
+        raise InvalidObjectError(message) from None
 
 
 _STEP_LETTERS = set("".join(r.alphabet for r in paths.CLASS_RULES.values()))
@@ -271,30 +277,30 @@ def main(argv=None) -> int:
     if misuse := args.misuse(args):
         command.error(misuse)
     try:
-        out = open(args.out, "w") if args.out else sys.stdout
-    except OSError as exc:
-        print(
-            f"partition-paths: cannot write {args.out}: {exc.strerror}",
-            file=sys.stderr,
-        )
-        return USAGE_ERROR
-    try:
-        # called only now, so that no runner starts before the output is open
-        _write(args.run(args), out, args.format)
+        if args.out:
+            output = open(args.out, "w")
+        else:  # sys.stdout is None when the shell closed it; opening fd 1 says why
+            output = nullcontext(sys.stdout or open(1, "w", closefd=False))
+        with output as out:
+            # called only now, so that no runner starts before the output is open
+            _write(args.run(args), out, args.format)
     except _ChecksFailed:
         return 3
-    except BrokenPipeError:
-        # The reader closed stdout (as `| head` does).  Point stdout at
-        # devnull so that the interpreter's final flush cannot fail again,
-        # and exit 1 quietly, as the Python docs on SIGPIPE recommend.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
     except LibraryError as exc:
         print(f"partition-paths: {exc}", file=sys.stderr)
         return EXIT_CODES[type(exc)]
-    finally:
-        if args.out:
-            out.close()
+    except OSError as exc:
+        # Only the output raises one here, as _input_objects turns a failed
+        # read of stdin into a LibraryError.  Point stdout at devnull, so that
+        # the interpreter's final flush cannot fail again; a reader that
+        # closed it (as `| head` does) gets a quiet 1, as the Python docs on
+        # SIGPIPE advise.
+        if not args.out and sys.stdout:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if args.out or not isinstance(exc, BrokenPipeError):
+            message = f"cannot write {args.out or 'standard output'}: {exc.strerror}"
+            print(f"partition-paths: {message}", file=sys.stderr)
+        return USAGE_ERROR if args.out else 1
     return 0
 
 

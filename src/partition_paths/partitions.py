@@ -300,20 +300,6 @@ def decompose(p: SetPartition) -> Decomposition:
     return Decomposition(len(first), tuple(first), words, tuple(late[:-1]))
 
 
-def _avoids_by_rule(p: SetPartition, start, step) -> bool:
-    """Fold a pattern's rule (see :class:`Pattern`) over a word in one pass."""
-    mx = 0
-    state = start
-    for c in p:
-        if c > mx:
-            mx = c
-        elif c < mx:
-            state = step(state, c, mx)
-            if state is None:
-                return False
-    return True
-
-
 def _step_12312(below: tuple, c: int, mx: int) -> Optional[tuple]:
     """The 12312 rule.  An occurrence of 12312 ends at a letter y after a
     letter x below the running maximum m, with x < y < m (the first
@@ -340,45 +326,51 @@ def _step_12321(prev: int, c: int, mx: int) -> Optional[int]:
     return None if c < prev else c
 
 
-# Each rule as (start, step), read by its fast test and its FAST_PATTERNS row.
-_RULE_12312 = (0, 0, None), _step_12312
-_RULE_12321 = 0, _step_12321
-
-
 def avoids_12312_fast(p: SetPartition) -> bool:
     """Decide 12312-avoidance in linear time, by :func:`_step_12312`."""
-    return _avoids_by_rule(p, *_RULE_12312)
+    return FAST_PATTERNS["12312"].avoids_fast(p)
 
 
 def avoids_12321_fast(p: SetPartition) -> bool:
     """Decide 12321-avoidance in linear time, by :func:`_step_12321`."""
-    return _avoids_by_rule(p, *_RULE_12321)
+    return FAST_PATTERNS["12321"].avoids_fast(p)
 
 
 class Pattern(NamedTuple):
-    """A pattern of the bijections: its word, its rule (``start``, ``step``)
-    and the linear-time avoidance test folded from the rule.
+    """A pattern of the bijections: its word and its rule (``start``, ``step``).
 
     Either pattern is completed only by a letter below the running maximum.
     ``step(state, c, mx)`` takes the state after the earlier letters
     (``start`` before the first) and such a letter c, below the running
     maximum mx, and returns the state after c, or None when c completes an
-    occurrence; it never mutates the state.  ``avoids_fast`` folds the rule
-    over a word, and :func:`generate_partitions` prunes by it letter by
+    occurrence; it never mutates the state.  :meth:`avoids_fast` folds the
+    rule over a word, and :func:`generate_partitions` prunes by it letter by
     letter, so the test and the generator cannot disagree.
     """
 
     word: SetPartition
-    avoids_fast: Callable[[SetPartition], bool]
     start: object
     step: Callable[[object, int, int], object]
 
+    def avoids_fast(self, p: SetPartition) -> bool:
+        """Decide avoidance in one pass, by folding the rule over ``p``."""
+        step, state = self.step, self.start
+        mx = 0
+        for c in p:
+            if c > mx:
+                mx = c
+            elif c < mx:
+                state = step(state, c, mx)
+                if state is None:
+                    return False
+        return True
+
 
 FAST_PATTERNS = {
-    "12312": Pattern(SetPartition((1, 2, 3, 1, 2)), avoids_12312_fast, *_RULE_12312),
-    "12321": Pattern(SetPartition((1, 2, 3, 2, 1)), avoids_12321_fast, *_RULE_12321),
+    "12312": Pattern(SetPartition((1, 2, 3, 1, 2)), (0, 0, None), _step_12312),
+    "12321": Pattern(SetPartition((1, 2, 3, 2, 1)), 0, _step_12321),
 }
-_NO_PATTERN = Pattern(None, None, (), lambda state, c, mx: state)  # keeps every letter
+_NO_PATTERN = Pattern(None, (), lambda state, c, mx: state)  # keeps every letter
 
 
 def is_irreducible(p: SetPartition) -> bool:

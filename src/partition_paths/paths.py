@@ -39,10 +39,12 @@ class ClassRules:
 
     @cached_property
     def _moves(self) -> dict:
-        """Each step (``""`` at the start) to the steps that may follow it, in
-        alphabet order, with their rises: what :func:`generate_paths` searches."""
+        """Each step (``""`` at the start) to the (step, rise, half units) of
+        the steps that may follow it, in decreasing alphabet order: the children
+        that :func:`generate_paths` pushes, so that they pop in increasing order."""
+        down, bad = self.alphabet[::-1], self.forbidden
         return {
-            prev: {s: _RISE[s] for s in self.alphabet if prev + s not in self.forbidden}
+            prev: [(s, _RISE[s], _HALF_UNITS[s]) for s in down if prev + s not in bad]
             for prev in ("", *self.alphabet)
         }
 
@@ -245,12 +247,7 @@ def generate_paths(n: int, path_class: str = "schroder") -> Iterator[LatticePath
     """
     rules = _rules(path_class)
     require_size(n, "semilength")
-
-    # steps in decreasing order, so that pushed children pop in increasing order
-    follow = {
-        prev: [(s, rise, _HALF_UNITS[s]) for s, rise in reversed(row.items())]
-        for prev, row in rules._moves.items()
-    }
+    moves = rules._moves
     bad_peaks = {h for h in range(1, n + 1) if rules.peak_ok and not rules.peak_ok(h)}
     end_down = rules.end_down
     leaf = LatticePath._trusted
@@ -261,7 +258,7 @@ def generate_paths(n: int, path_class: str = "schroder") -> Iterator[LatticePath
             if not end_down or _ends_down(steps):
                 yield leaf(steps)
             continue
-        for s, rise, units in follow[prev]:
+        for s, rise, units in moves[prev]:
             h = y + rise
             if h < 0 or h > remaining - units:
                 continue

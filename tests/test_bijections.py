@@ -26,7 +26,7 @@ from partition_paths import (
 )
 from partition_paths import bijections
 from partition_paths.bijections import MAPS
-from partition_paths.partitions import FAST_PATTERNS
+from partition_paths.partitions import FAST_PATTERNS, Pattern
 from partition_paths.paths import check_path
 
 REF_PARTITION = parse_partition("11232343411")
@@ -64,10 +64,11 @@ class TestEncode:
             encode(SetPartition((1,)), "123")
 
     def test_unwitnessed_containment_is_a_precondition_error(self, monkeypatch):
-        entry = FAST_PATTERNS["12312"]
-        monkeypatch.setitem(
-            FAST_PATTERNS, "12312", entry._replace(avoids_fast=lambda p: False)
-        )
+        class Refusing(Pattern):
+            def avoids_fast(self, p):
+                return False
+
+        monkeypatch.setitem(FAST_PATTERNS, "12312", Refusing(*FAST_PATTERNS["12312"]))
         with pytest.raises(PreconditionError) as exc:
             encode(SetPartition((1, 2, 1, 2)), "12312")
         assert str(exc.value) == (
@@ -253,7 +254,7 @@ from partition_paths.errors import PreconditionError
 from partition_paths.paths import LatticePath
 
 word = partitions.SetPartition((1, 2, 1, 2))
-row = partitions.Pattern(word, lambda p: partitions.avoids(p, word), None, None)
+row = partitions.Pattern(word, (), lambda state, c, mx: state)
 partitions.FAST_PATTERNS["1212"] = row
 importlib.reload(bijections)
 calls = (

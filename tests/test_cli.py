@@ -1,5 +1,7 @@
+import errno
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -98,6 +100,32 @@ class TestMap:
         code, out, _ = run(capsys, "map", "sigma", "--format", "json", "forward", "1,2")
         assert json.loads(out) == "UD"
 
+    @pytest.mark.parametrize("name", ["full12312", "full12321", "psi"])
+    @pytest.mark.parametrize(
+        "path, code, message",
+        [
+            (
+                "UUDD",
+                2,
+                "to_uh_free expects no peak at even level; "
+                "peak at even level 2 at position 2",
+            ),
+            (
+                "UUDLDD",
+                1,
+                "unknown step character 'L' at position 4 (class schroder uses U/D/H)",
+            ),
+            ("DU", 1, "path drops below the axis at position 1"),
+        ],
+    )
+    def test_inverse_failure_lines(self, capsys, name, path, code, message):
+        # an inverse parses a Schroder path, then its map checks the domain
+        assert run(capsys, "map", name, "inverse", path) == (
+            code,
+            "",
+            f"partition-paths: {message}\n",
+        )
+
 
 class TestListAndCount:
     def test_count_partitions_with_pattern(self, capsys):
@@ -185,10 +213,9 @@ class TestCheck:
     def test_partition_record_has_every_registered_pattern(self, capsys, monkeypatch):
         from partition_paths import partitions
 
+        # every letter below the running maximum completes 121
         word = parse_partition("121")
-        entry = partitions.FAST_PATTERNS["12312"]._replace(
-            word=word, avoids_fast=lambda p: avoids(p, word)
-        )
+        entry = partitions.Pattern(word, None, lambda state, c, mx: None)
         monkeypatch.setitem(partitions.FAST_PATTERNS, "121", entry)
         code, out, _ = run(capsys, "check", "partition", "1,2,1", "1,1,2")
         assert code == 0
@@ -287,18 +314,17 @@ class TestVerify:
 
     def test_wrong_fast_predicate_reported_against_census(self, monkeypatch):
         import partition_paths.verify as verify_mod
-        from partition_paths.partitions import FAST_PATTERNS
+        from partition_paths.partitions import FAST_PATTERNS, Pattern
 
-        entry = FAST_PATTERNS["12312"]
+        class Wrong(Pattern):
+            def avoids_fast(self, p):
+                return p.word != (1, 2, 1, 2) and super().avoids_fast(p)
 
-        def wrong(p):
-            return p.word != (1, 2, 1, 2) and entry.avoids_fast(p)
-
-        monkeypatch.setitem(FAST_PATTERNS, "12312", entry._replace(avoids_fast=wrong))
+        monkeypatch.setitem(FAST_PATTERNS, "12312", Wrong(*FAST_PATTERNS["12312"]))
         # encode's precondition asks the fast predicate, and the containment
         # it reports cannot be witnessed: that check fails with the library
-        # error instead of ending the run
-        results = verify_mod.run_checks(8)
+        # error instead of ending the run; both show by n = 4
+        results = verify_mod.run_checks(4)
         failed = [(r.name, r.failure) for r in results if not r.ok]
         assert failed == [
             (
@@ -337,7 +363,8 @@ class TestVerifyCatchesBrokenMaps:
         import partition_paths.verify as verify_mod
 
         monkeypatch.setattr(bijections, name, broken(getattr(bijections, name)))
-        return [(r.name, r.failure) for r in verify_mod.run_checks(8) if not r.ok]
+        # every fault shows at n = 2 and touches no larger object
+        return [(r.name, r.failure) for r in verify_mod.run_checks(3) if not r.ok]
 
     def test_decode_wrong_on_one_path(self, monkeypatch):
         def broken(decode):
@@ -473,6 +500,41 @@ class TestUsage:
         assert (code, out) == (64, "")
         assert err.startswith(f"partition-paths: cannot write {target}: ")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv, stdout, code, where",
+        [
+            (["--out", "/dev/full"], None, 64, "/dev/full"),
+            ([], "/dev/full", 1, "standard output"),
+            ([], "closed", 1, "standard output"),
+        ],
+        ids=["out-full", "stdout-full", "stdout-closed"],
+    )
+    def test_unwritable_output_is_one_line(self, argv, stdout, code, where):
+        if "/dev/full" in (stdout, *argv) and not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        command = [sys.executable, "-m", "partition_paths.cli", "list", "partitions"]
+        command += ["4", *argv]
+        if stdout == "closed":  # so sys.stdout is None
+            command = ["sh", "-c", 'exec "$@" >&-', "sh", *command]
+        with open(stdout if stdout == "/dev/full" else os.devnull, "w") as sink:
+            proc = subprocess.run(command, stdout=sink, stderr=subprocess.PIPE, text=True)
+        assert proc.returncode == code
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"partition-paths: cannot write {where}: ")
+
+    def test_unreadable_stdin_is_no_write_failure(self, capsys, monkeypatch):
+        class Unreadable:
+            def read(self):
+                raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(sys, "stdin", Unreadable())
+        assert run(capsys, "map", "psi", "inverse") == (
+            1,
+            "",
+            "partition-paths: cannot read standard input: Input/output error\n",
+        )
 
     def test_closed_stdout_exits_1_without_traceback(self):
         # the reader stops after one line, as `| head -1` does
