@@ -13,9 +13,10 @@ Three maps are implemented, together with their inverses and compositions:
 Composing encode with to_odd_peaks gives bijections from each avoidance
 class onto the paths without peaks at even level.
 
-Each public map checks its input once, at its entry point, and wraps what a
-kernel on plain strings and tuples builds without checking it again; the
-compositions chain the kernels, so no intermediate path is built.
+Each public map checks its input once, at its entry point, and its kernel's
+result is wrapped unchecked; the compositions chain the kernels, so no
+intermediate path is checked.  A ``MAPS`` row names its inverse's path class
+and kernel, for input already parsed into that class.
 """
 
 from collections import deque
@@ -26,6 +27,9 @@ from .errors import InvalidObjectError, PreconditionError
 from .partitions import FAST_PATTERNS, SetPartition, find_pattern
 from .paths import LatticePath, check_path
 
+# The path class each inverse takes: the inverse checks its input against it,
+# and a caller that parsed the input into it runs the MAPS row's kernel.
+_DOMAINS = {"decode": "uh_free", "to_uh_free": "no_even_peak"}
 # Each pattern's decode rule: a non-peak down step takes the largest free
 # label (the deque's back) for 12312 and the smallest (its front) for 12321.
 _TAKE = {"12312": "pop", "12321": "popleft"}
@@ -108,10 +112,8 @@ def _encode(word: tuple) -> str:
     return "".join(out)
 
 
-def _decode(steps: str, pattern: str) -> tuple:
-    """The partition word of the path with a peak prepended."""
-    steps = "UD" + steps
-    n = len(steps)
+def _decode(steps: str, pattern: str) -> SetPartition:
+    """The partition spelled by the path with a peak prepended, unchecked."""
     word = []
     # Up-step labels are pushed in nondecreasing order, so the unmatched ones
     # (the up-step multiset minus the down-step multiset) form a sorted deque:
@@ -120,20 +122,20 @@ def _decode(steps: str, pattern: str) -> tuple:
     free = deque()
     take = getattr(free, _TAKE[pattern])
     seen_peaks = 0
-    for i, s in enumerate(steps):
-        if s == "U":
-            if i + 1 < n and steps[i + 1] == "D":
-                seen_peaks += 1
+    # Each peak UD is one token P: it pushes its own label and pops it at
+    # once, leaving the deque as it was, and two UD factors never overlap.
+    for s in "P" + steps.replace("UD", "P"):
+        if s == "P":
+            seen_peaks += 1
+            word.append(seen_peaks)
+        elif s == "U":
             free.append(seen_peaks)
         elif s == "H":
             # the largest label to the left is the number of peaks passed
             word.append(seen_peaks)
-        elif steps[i - 1] == "U":
-            # a peak down step copies its peak's label, the last one pushed
-            word.append(free.pop())
         else:
             word.append(take())
-    return tuple(word)
+    return SetPartition._trusted(word)
 
 
 def decode(p: LatticePath, pattern: str = "12312") -> SetPartition:
@@ -149,15 +151,15 @@ def decode(p: LatticePath, pattern: str = "12312") -> SetPartition:
     path decodes to the one-element partition.
     """
     _require_pattern(pattern)
-    _require_class(p, "uh_free", "decode")
-    return SetPartition._trusted(_decode(p, pattern))
+    _require_class(p, _DOMAINS["decode"], "decode")
+    return _decode(p, pattern)
 
 
 def decode_trace(p: LatticePath, pattern: str = "12312") -> str:
     """The step labeling used by :func:`decode`, as an "index step label"
     dump (debugging aid)."""
     _require_pattern(pattern)
-    _require_class(p, "uh_free", "decode_trace")
+    _require_class(p, _DOMAINS["decode"], "decode_trace")
     steps = "UD" + p
     letters = iter(_decode(p, pattern))
     seen_peaks, lines = 0, []
@@ -215,7 +217,7 @@ def _rewrite_forward(steps: str) -> str:
     return "".join(out)
 
 
-def _rewrite_backward(steps: str) -> str:
+def _rewrite_backward(steps: str) -> LatticePath:
     out = []
     # innermost last: [index of the group's ascent in out, factors read] for
     # a group U B1 ... B(k-1) D whose factors are being read, None for the
@@ -249,7 +251,7 @@ def _rewrite_backward(steps: str) -> str:
         else:
             frames.append([len(out), 0])
             out.append("")
-    return "".join(out)
+    return LatticePath._trusted("".join(out))
 
 
 def to_odd_peaks(p: LatticePath) -> LatticePath:
@@ -281,8 +283,8 @@ def to_uh_free(p: LatticePath) -> LatticePath:
     pass with an explicit stack, linear time: the ascent U^k D is written
     into a reserved slot of the output once its group's factors are counted.
     """
-    _require_class(p, "no_even_peak", "to_uh_free")
-    return LatticePath._trusted(_rewrite_backward(p))
+    _require_class(p, _DOMAINS["to_uh_free"], "to_uh_free")
+    return _rewrite_backward(p)
 
 
 def encode_to_odd_peaks(p: SetPartition, pattern: str = "12312") -> LatticePath:
@@ -294,32 +296,43 @@ def encode_to_odd_peaks(p: SetPartition, pattern: str = "12312") -> LatticePath:
 
 def decode_from_odd_peaks(p: LatticePath, pattern: str = "12312") -> SetPartition:
     """Inverse of :func:`encode_to_odd_peaks`; a bad path outranks a bad pattern."""
-    _require_class(p, "no_even_peak", "to_uh_free")
+    _require_class(p, _DOMAINS["to_uh_free"], "to_uh_free")
     _require_pattern(pattern)
-    return SetPartition._trusted(_decode(_rewrite_backward(p), pattern))
+    return _decode_odd_peaks(p, pattern)
+
+
+def _decode_odd_peaks(steps: str, pattern: str) -> SetPartition:
+    return _decode(_rewrite_backward(steps), pattern)
 
 
 @dataclass(frozen=True)
 class Bijection:
     """A named map: the kind of object its forward direction takes
-    ("partition" or "path"; every inverse takes a Schroder path), and both
-    directions."""
+    ("partition" or "path"), both directions, the path class its inverse
+    takes (``domain``), and ``kernel``, the inverse without its checks, for a
+    path already known to lie in that class."""
 
     forward_input: str
     forward: Callable
     inverse: Callable
+    domain: str
+    kernel: Callable
 
 
-def _pattern_map(forward: Callable, inverse: Callable, pattern: str) -> Bijection:
-    return Bijection(
-        "partition", lambda p: forward(p, pattern), lambda q: inverse(q, pattern)
-    )
+def _pattern_map(forward, inverse, domain, kernel, pattern: str) -> Bijection:
+    def fix(f: Callable) -> Callable:  # f with its pattern argument fixed
+        return lambda x: f(x, pattern)
+
+    return Bijection("partition", fix(forward), fix(inverse), domain, fix(kernel))
 
 
+_FULL = (encode_to_odd_peaks, decode_from_odd_peaks, _DOMAINS["to_uh_free"])
 MAPS = {
-    "sigma": _pattern_map(encode, decode, "12312"),
-    "phi": _pattern_map(encode, decode, "12321"),
-    "psi": Bijection("path", to_odd_peaks, to_uh_free),
-    "full12312": _pattern_map(encode_to_odd_peaks, decode_from_odd_peaks, "12312"),
-    "full12321": _pattern_map(encode_to_odd_peaks, decode_from_odd_peaks, "12321"),
+    "sigma": _pattern_map(encode, decode, _DOMAINS["decode"], _decode, "12312"),
+    "phi": _pattern_map(encode, decode, _DOMAINS["decode"], _decode, "12321"),
+    "psi": Bijection(
+        "path", to_odd_peaks, to_uh_free, _DOMAINS["to_uh_free"], _rewrite_backward
+    ),
+    "full12312": _pattern_map(*_FULL, _decode_odd_peaks, "12312"),
+    "full12321": _pattern_map(*_FULL, _decode_odd_peaks, "12321"),
 }

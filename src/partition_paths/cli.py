@@ -129,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _input_objects(args) -> list:
     try:
-        return args.objects or sys.stdin.read().splitlines()
+        return args.objects or (sys.stdin or open(0, closefd=False)).read().splitlines()
     except OSError as exc:  # as a LibraryError, so main reports no failed write
         message = f"cannot read standard input: {exc.strerror}"
         raise InvalidObjectError(message) from None
@@ -179,12 +179,19 @@ def _run_map(args):
     direction = "forward"
     if args.objects and args.objects[0] in ("forward", "inverse"):
         direction = args.objects.pop(0)
-    if direction == "inverse":
-        fn, takes = bijection.inverse, "path"
-    else:
-        fn, takes = bijection.forward, bijection.forward_input
-    parse = partitions.parse_partition if takes == "partition" else paths.parse_path
-    return map(str, map(fn, map(parse, _input_objects(args))))
+    if direction == "forward":
+        takes = bijection.forward_input
+        parse = partitions.parse_partition if takes == "partition" else paths.parse_path
+        return map(str, map(bijection.forward, map(parse, _input_objects(args))))
+
+    def inverse(text):  # parsed once, straight into the inverse's domain
+        try:
+            q = paths.parse_path(text, bijection.domain)
+        except InvalidObjectError:  # the checked route names the first fault
+            return bijection.inverse(paths.parse_path(text))
+        return bijection.kernel(q)
+
+    return map(str, map(inverse, _input_objects(args)))
 
 
 def _run_check(args):

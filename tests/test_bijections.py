@@ -1,7 +1,9 @@
 import os
+import random
 import subprocess
 import sys
-from collections import Counter
+from collections import Counter, deque
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -112,6 +114,13 @@ class TestDecode:
     def test_trace_lists_index_step_label(self):
         assert decode_trace(LatticePath("UD")) == "0 U 1\n1 D 1\n2 U 2\n3 D 2"
 
+    def test_trace_golden(self):
+        assert decode_trace(parse_path(DECODE_INPUT), "12321") == (
+            "0 U 1\n1 D 1\n2 H 1\n3 U 1\n4 U 2\n5 D 2\n6 H 2\n7 H 2\n8 U 2\n"
+            "9 U 2\n10 U 3\n11 D 3\n12 D 1\n13 H 3\n14 D 2\n15 H 3\n16 D 2\n"
+            "17 U 3\n18 U 4\n19 D 4\n20 D 3"
+        )
+
     @pytest.mark.parametrize("pattern", ["12312", "12321"])
     def test_trace_follows_the_docstring(self, paths_of, pattern):
         for n in range(7):
@@ -146,6 +155,63 @@ def _docstring_labels(steps, pattern):
             down[label] += 1
         labels.append(label)
     return labels
+
+
+def _decode_by_lookahead(steps, pattern):
+    """A reference decode loop: each step finds out whether it is half of a
+    peak by looking one step ahead or behind by index."""
+    steps = "UD" + steps
+    word, free, seen_peaks = [], deque(), 0
+    for i, s in enumerate(steps):
+        if s == "U":
+            if i + 1 < len(steps) and steps[i + 1] == "D":
+                seen_peaks += 1
+            free.append(seen_peaks)
+        elif s == "H":
+            word.append(seen_peaks)
+        elif steps[i - 1] == "U":
+            word.append(free.pop())
+        else:
+            word.append(free.pop() if pattern == "12312" else free.popleft())
+    return tuple(word)
+
+
+def _random_uh_free(rng, n):
+    """A seeded random UH-free path of semilength n: a random Dyck path by the
+    cycle lemma, with H steps dropped at its start and after down steps, where
+    no H follows an up step."""
+    m = rng.randint(0, n)  # the Dyck semilength; the other n - m steps are H
+    word = ["D"] * (2 * m + 1)
+    for i in rng.sample(range(2 * m + 1), m):
+        word[i] = "U"
+    heights = list(accumulate(map({"U": 1, "D": -1}.get, word)))
+    k = heights.index(min(heights)) + 1  # the rotation from here stays >= 0
+    runs = "".join(word[k:] + word[:k - 1]).split("D")  # U runs between D steps
+    slots = Counter(rng.choices(range(len(runs)), k=n - m))
+    return "D".join("H" * slots[i] + run for i, run in enumerate(runs))
+
+
+class TestDecodeKernel:
+    """The decode kernel reads each peak UD as one token; it must agree with
+    the step-by-step reference loop."""
+
+    @pytest.mark.parametrize("pattern", ["12312", "12321"])
+    def test_matches_reference_exhaustively(self, paths_of, pattern):
+        for n in range(10):
+            for q in paths_of(n, "uh_free"):
+                assert bijections._decode(q, pattern) == _decode_by_lookahead(
+                    q, pattern
+                ), q
+
+    def test_matches_reference_on_long_random_paths(self):
+        rng = random.Random(2008)
+        for _ in range(200):
+            q = _random_uh_free(rng, rng.randint(10**3, 10**4))
+            check_path(LatticePath(q), "uh_free")
+            for pattern in ("12312", "12321"):
+                assert bijections._decode(q, pattern) == _decode_by_lookahead(
+                    q, pattern
+                )
 
 
 class TestOddPeakRewrite:

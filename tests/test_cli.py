@@ -116,15 +116,52 @@ class TestMap:
                 "unknown step character 'L' at position 4 (class schroder uses U/D/H)",
             ),
             ("DU", 1, "path drops below the axis at position 1"),
+            # out of the domain too, but the drop comes first in position order
+            ("UUDDDU", 1, "path drops below the axis at position 5"),
         ],
     )
     def test_inverse_failure_lines(self, capsys, name, path, code, message):
-        # an inverse parses a Schroder path, then its map checks the domain
+        # a path outside the domain is checked as a Schroder path, then
+        # against the domain, so its message names the first fault
         assert run(capsys, "map", name, "inverse", path) == (
             code,
             "",
             f"partition-paths: {message}\n",
         )
+
+    @pytest.mark.parametrize("name", ["sigma", "phi"])
+    @pytest.mark.parametrize(
+        "path, code, message",
+        [
+            (
+                "UHD",
+                2,
+                "decode expects a UH-free path; "
+                "up step immediately followed by a horizontal step at position 1",
+            ),
+            ("UUDDDU", 1, "path drops below the axis at position 5"),
+            (
+                "UUDLDD",
+                1,
+                "unknown step character 'L' at position 4 (class schroder uses U/D/H)",
+            ),
+            ("DU", 1, "path drops below the axis at position 1"),
+        ],
+    )
+    def test_decode_inverse_failure_lines(self, capsys, name, path, code, message):
+        assert run(capsys, "map", name, "inverse", path) == (
+            code,
+            "",
+            f"partition-paths: {message}\n",
+        )
+
+    @pytest.mark.parametrize("name", list(bijections.MAPS))
+    def test_inverse_equals_the_public_inverse(self, capsys, paths_of, name):
+        domain = "uh_free" if name in ("sigma", "phi") else "no_even_peak"
+        qs = [q for n in range(8) for q in paths_of(n, domain)]
+        code, out, err = run(capsys, "map", name, "inverse", *qs)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [str(bijections.MAPS[name].inverse(q)) for q in qs]
 
 
 class TestListAndCount:
@@ -534,6 +571,19 @@ class TestUsage:
             1,
             "",
             "partition-paths: cannot read standard input: Input/output error\n",
+        )
+
+    @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out-file"])
+    def test_closed_stdin_is_one_line(self, tmp_path, out):
+        # sys.stdin is None; an --out file, opened first, takes descriptor 0
+        command = [sys.executable, "-m", "partition_paths.cli", "map", "psi"]
+        command += ["inverse", *(["--out", str(tmp_path / "out")] if out else [])]
+        command = ["sh", "-c", 'exec "$@" <&-', "sh", *command]
+        proc = subprocess.run(command, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1,
+            "",
+            "partition-paths: cannot read standard input: Bad file descriptor\n",
         )
 
     def test_closed_stdout_exits_1_without_traceback(self):
