@@ -25,7 +25,7 @@ from typing import Callable
 
 from .errors import InvalidObjectError, PreconditionError
 from .partitions import FAST_PATTERNS, SetPartition, find_pattern
-from .paths import LatticePath, check_path
+from .paths import LatticePath, _require_path, check_path
 
 # The path class each inverse takes: the inverse checks its input against it,
 # and a caller that parsed the input into it runs the MAPS row's kernel.
@@ -63,8 +63,7 @@ def _require_avoids(p: SetPartition, pattern: str) -> None:
 
 
 def _require_class(p: LatticePath, path_class: str, caller: str) -> None:
-    if not isinstance(p, LatticePath):
-        raise InvalidObjectError(f"{caller} expects a LatticePath, got {p!r}")
+    _require_path(p, caller)
     try:
         check_path(p, path_class)
     except InvalidObjectError as exc:
@@ -177,43 +176,31 @@ def decode_trace(p: LatticePath, pattern: str = "12312") -> str:
 
 def _rewrite_forward(steps: str) -> str:
     out = []
-    # factors still to close in each open U^k D group, innermost last
-    open_factors = []
-    i, n = 0, len(steps)
-    while i < n:
-        s = steps[i]
-        if s == "H":
-            out.append("H")
-            i += 1
+    open_factors = []  # factors left in each enclosing group, innermost last
+    run = left = 0  # up steps before this token; factors left in the group
+    # Each peak UD is one token P; UH-free, so an up step is followed by an
+    # up step or by D, and a run of up steps ends in a P.
+    for s in steps.replace("UD", "P"):
+        if s == "D" and left:
+            left -= 1  # an empty factor is its closing down step alone
+            out.append("H" if left else "HD")
             continue
-        if s == "U":
-            if steps[i + 1] == "D":
-                out.append("UD")
-                i += 2
-                continue
-            # UH-free, so the run of k >= 2 up steps is followed by a down
-            # step; P1 ... P(k-1) follow, each closed by its own down step.
-            k = 2
-            while steps[i + k] == "U":
-                k += 1
-            out.append("U")
-            i += k + 1
-            left = k - 1
-        else:
-            # the down step closing the innermost nonempty factor Pi
-            out.append("D")
-            i += 1
-            left = open_factors.pop() - 1
-        # an empty factor is its closing down step alone and becomes H
-        while left and steps[i] == "D":
-            out.append("H")
-            i += 1
-            left -= 1
-        if left:
+        if left:  # the group's next factor is nonempty and starts here
             out.append("U")
             open_factors.append(left)
+            left = 0
+        if s == "U":
+            run += 1
+        elif s == "P" and run:
+            # U^k D with k = run + 1 >= 2: factors P1 ... P(k-1) follow
+            out.append("U")
+            left, run = run, 0
+        elif s == "D":
+            # closes the innermost nonempty factor, and its group if last
+            left = open_factors.pop() - 1
+            out.append("D" if left else "DD")
         else:
-            out.append("D")  # every factor is closed: so is the group
+            out.append("H" if s == "H" else "UD")
     return "".join(out)
 
 
@@ -223,10 +210,7 @@ def _rewrite_backward(steps: str) -> LatticePath:
     # a group U B1 ... B(k-1) D whose factors are being read, None for the
     # interior of a bracket factor U...D
     frames = []
-    i, n = 0, len(steps)
-    while i < n:
-        s = steps[i]
-        i += 1
+    for s in steps.replace("UD", "P"):  # each peak UD is one token P
         top = frames[-1] if frames else None
         if top is not None:
             if s == "D":
@@ -237,20 +221,17 @@ def _rewrite_backward(steps: str) -> LatticePath:
                 top[1] += 1
                 if s == "H":
                     out.append("D")  # an H factor leaves its down step alone
-                else:
+                else:  # a U: a P factor would be a peak at an even level
                     frames.append(None)
-        elif s == "H":
-            out.append("H")
         elif s == "D":
             # closes a bracket interior, which ends its factor
             frames.pop()
             out.append("D")
-        elif steps[i] == "D":
-            out.append("UD")
-            i += 1
-        else:
+        elif s == "U":
             frames.append([len(out), 0])
             out.append("")
+        else:
+            out.append("H" if s == "H" else "UD")
     return LatticePath._trusted("".join(out))
 
 
@@ -264,10 +245,10 @@ def to_odd_peaks(p: LatticePath) -> LatticePath:
     followed by the rewrite of Pk, where Pi' is H when Pi is empty and the
     rewrite of Pi wrapped in U...D otherwise.
 
-    One left-to-right pass, linear time, no recursion: each factor Pi ends
-    at the first down step that leaves its base height, so a stack holding
-    the number of factors still open in each enclosing group says what every
-    step becomes as it is read.
+    One left-to-right pass, linear time, no recursion, reading each peak UD
+    as one token: each factor Pi ends at the first down step that leaves its
+    base height, so a stack holding the number of factors still open in each
+    enclosing group says what every token becomes as it is read.
     """
     _require_class(p, "uh_free", "to_odd_peaks")
     return LatticePath._trusted(_rewrite_forward(p))
@@ -280,8 +261,8 @@ def to_uh_free(p: LatticePath) -> LatticePath:
     otherwise the stretch between the initial up step and its matching
     return consists of factors that are each H or bracketed U...D, and these
     rebuild the initial ascent and the subordinate paths.  One left-to-right
-    pass with an explicit stack, linear time: the ascent U^k D is written
-    into a reserved slot of the output once its group's factors are counted.
+    pass over tokens (a peak UD is one) with an explicit stack, linear time:
+    the ascent U^k D fills a reserved slot once its factors are counted.
     """
     _require_class(p, _DOMAINS["to_uh_free"], "to_uh_free")
     return _rewrite_backward(p)

@@ -85,15 +85,15 @@ def _ends_down(steps: str) -> bool:
     return not steps or steps[-1] == "D"
 
 
-def _check(steps: str, path_class=None) -> None:
+def _check(steps: str, path_class=_ANY_STEP) -> None:
     """Raise :class:`InvalidObjectError` naming the first rule of the class
-    that the steps break, in position order; ``None`` checks the letters and
-    heights alone, as the constructor does, and names no class.  String
+    that the steps break, in position order; by default it checks the letters
+    and heights alone, as the constructor does, and names no class.  String
     searches find the first step that the class's moves do not allow, and a
     walk over the steps before it finds a drop or a forbidden peak; a
     :class:`LatticePath` proves its heights, so it is walked only for a peak
     rule."""
-    rules = _ANY_STEP if path_class is None else _rules(path_class)
+    rules = _ANY_STEP if path_class is _ANY_STEP else _rules(path_class)
     stop = len(steps) - len(steps.lstrip(rules.alphabet))  # first step not allowed
     for pair in rules.forbidden:
         k = steps.find(pair, 0, stop)
@@ -115,7 +115,7 @@ def _check(steps: str, path_class=None) -> None:
         reason = f"unknown step character {s!r} at position {i}"
         if s in rules.alphabet:
             reason = _FACTOR_REASONS[steps[stop - 1 : i]].format(first=stop, second=i)
-        elif path_class:
+        elif rules is not _ANY_STEP:
             reason += f" (class {path_class} uses {'/'.join(rules.alphabet)})"
         raise InvalidObjectError(reason)
     if h:
@@ -172,15 +172,24 @@ class LatticePath(str):
         return f"LatticePath({self.steps!r})"
 
 
+def _require_path(p, caller: str) -> None:
+    if not isinstance(p, LatticePath):
+        raise InvalidObjectError(f"{caller} expects a LatticePath, got {p!r}")
+
+
 def peaks(p: LatticePath) -> list:
     """All (index, level) pairs where an up step is immediately followed by a
     down step; the level is the height reached by the up step."""
+    _require_path(p, "peaks")
     out = []
-    h = 0
-    for i, s in enumerate(p):
-        h += _RISE[s]
-        if s == "U" and i + 1 < len(p) and p[i + 1] == "D":
-            out.append((i, h))
+    i = h = 0
+    for s in p.replace("UD", "P"):  # each peak UD is one token P
+        if s == "P":
+            out.append((i, h + 1))
+            i += 2
+        else:
+            h += _RISE[s]
+            i += 1
     return out
 
 
@@ -200,6 +209,7 @@ def classify(p: LatticePath) -> PathFlags:
     The empty path satisfies every flag (it belongs to every class at
     semilength 0), including ends_with_down by convention.
     """
+    _require_path(p, "classify")
     levels = [level for _, level in peaks(p)]
     return PathFlags(
         uh_free=not any(f in p for f in CLASS_RULES["uh_free"].forbidden),
@@ -219,8 +229,7 @@ def check_path(p: LatticePath, path_class: str) -> None:
     """Raise :class:`InvalidObjectError` unless the path obeys every rule of
     the class in :data:`CLASS_RULES`; the message names the first fault met
     left to right and its position."""
-    if not isinstance(p, LatticePath):
-        raise InvalidObjectError(f"check_path expects a LatticePath, got {p!r}")
+    _require_path(p, "check_path")
     _check(p, path_class)
 
 

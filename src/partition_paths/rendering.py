@@ -3,7 +3,7 @@
 from itertools import accumulate
 
 from .errors import InvalidObjectError
-from .paths import LatticePath, _RISE, _RUN
+from .paths import LatticePath, _RISE, _RUN, _require_path
 
 _UNIT, _MARGIN = 20, 10  # SVG user units per lattice unit and around the drawing
 
@@ -12,11 +12,6 @@ def render(p: LatticePath, fmt: str = "ascii") -> str:
     if not isinstance(fmt, str) or fmt not in RENDERERS:
         raise InvalidObjectError(f"unknown render format {fmt!r}")
     return RENDERERS[fmt](p)
-
-
-def _require_path(p, caller: str) -> None:
-    if not isinstance(p, LatticePath):
-        raise InvalidObjectError(f"{caller} expects a LatticePath, got {p!r}")
 
 
 def render_ascii(p: LatticePath) -> str:

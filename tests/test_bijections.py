@@ -214,6 +214,122 @@ class TestDecodeKernel:
                 )
 
 
+def _rewrite_forward_by_index(steps):
+    """A reference psi kernel: it walks the path by index, counting each up
+    run and consuming each run of empty factors in an inner loop."""
+    out, open_factors = [], []
+    i, n = 0, len(steps)
+    while i < n:
+        s = steps[i]
+        if s == "H":
+            out.append("H")
+            i += 1
+            continue
+        if s == "U":
+            if steps[i + 1] == "D":
+                out.append("UD")
+                i += 2
+                continue
+            k = 2
+            while steps[i + k] == "U":
+                k += 1
+            out.append("U")
+            i += k + 1
+            left = k - 1
+        else:
+            out.append("D")
+            i += 1
+            left = open_factors.pop() - 1
+        while left and steps[i] == "D":
+            out.append("H")
+            i += 1
+            left -= 1
+        if left:
+            out.append("U")
+            open_factors.append(left)
+        else:
+            out.append("D")
+    return "".join(out)
+
+
+def _rewrite_backward_by_index(steps):
+    """A reference inverse psi kernel: it walks the path by index and finds a
+    peak by looking one step ahead."""
+    out, frames = [], []
+    i, n = 0, len(steps)
+    while i < n:
+        s = steps[i]
+        i += 1
+        top = frames[-1] if frames else None
+        if top is not None:
+            if s == "D":
+                out[top[0]] = "U" * (top[1] + 1) + "D"
+                frames.pop()
+            else:
+                top[1] += 1
+                if s == "H":
+                    out.append("D")
+                else:
+                    frames.append(None)
+        elif s == "H":
+            out.append("H")
+        elif s == "D":
+            frames.pop()
+            out.append("D")
+        elif steps[i] == "D":
+            out.append("UD")
+            i += 1
+        else:
+            frames.append([len(out), 0])
+            out.append("")
+    return "".join(out)
+
+
+class TestRewriteKernel:
+    """The psi kernels read each peak UD as one token; they must agree with
+    the index-walking reference kernels."""
+
+    def _assert_agree(self, q):
+        image = bijections._rewrite_forward(q)
+        assert image == _rewrite_forward_by_index(q), q
+        assert bijections._rewrite_backward(image) == _rewrite_backward_by_index(
+            image
+        ), image
+
+    def test_forward_matches_reference_exhaustively(self, paths_of):
+        for n in range(10):
+            for q in paths_of(n, "uh_free"):
+                assert bijections._rewrite_forward(q) == _rewrite_forward_by_index(q), q
+
+    def test_backward_matches_reference_exhaustively(self, paths_of):
+        for n in range(10):
+            for q in paths_of(n, "no_even_peak"):
+                assert bijections._rewrite_backward(q) == _rewrite_backward_by_index(
+                    q
+                ), q
+
+    def test_matches_reference_on_long_random_paths(self):
+        rng = random.Random(2025)
+        for _ in range(12):  # semilength log-uniform in 10^3 .. 10^5
+            q = _random_uh_free(rng, round(10 ** rng.uniform(3, 5)))
+            check_path(LatticePath(q), "uh_free")
+            self._assert_agree(q)
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            lambda k: "U" * k + "D" * k,
+            lambda k: "UD" * k,
+            lambda k: "H" * k,
+            lambda k: "UUUDDD" * k,
+        ],
+        ids=["U^k D^k", "(UD)^k", "H^k", "(UUUDDD)^k"],
+    )
+    def test_matches_reference_on_deep_families(self, family):
+        for k in (1, 2, 3, 1000, 30000):
+            self._assert_agree(family(k))
+
+
 class TestOddPeakRewrite:
     def test_golden(self):
         assert str(to_odd_peaks(parse_path("UUUDDHUDDUD"))) == "UHUHUDDDUD"

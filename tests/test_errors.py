@@ -19,12 +19,14 @@ from partition_paths import (
     LatticePath,
     LibraryError,
     LimitExceededError,
+    PathFlags,
     PreconditionError,
     SeriesTable,
     SetPartition,
     bell_number,
     bell_numbers,
     binomial,
+    classify,
     count_blocks,
     decode,
     decode_from_odd_peaks,
@@ -40,6 +42,7 @@ from partition_paths import (
     parse_path,
     partitions,
     paths,
+    peaks,
     render,
     render_ascii,
     render_svg,
@@ -135,6 +138,8 @@ API = [
     (decode_from_odd_peaks, [[ODD_PEAKS], PATTERNS], SetPartition),
     (decompose, [[PARTITION]], partitions.Decomposition),
     (paths.check_path, [[UH_FREE], ["schroder", "uh_free"]], type(None)),
+    (peaks, [[UH_FREE]], list),
+    (classify, [[UH_FREE]], PathFlags),
     (render, [[UH_FREE], ["ascii", "svg"]], str),
     (render_ascii, [[UH_FREE]], str),
     (render_svg, [[UH_FREE]], str),

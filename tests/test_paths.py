@@ -152,12 +152,34 @@ class TestParse:
         for cls in PATH_CLASSES:
             assert parse_path("", cls) == LatticePath("")
 
-    def test_unknown_class(self):
-        with pytest.raises(InvalidObjectError):
-            parse_path("UD", "motzkin")
+    @pytest.mark.parametrize("path_class", ["motzkin", None])
+    def test_unknown_class(self, path_class):
+        # UULD lies in no class, so None must not select the constructor's rules
+        message = f"^unknown path class {path_class!r}$"
+        with pytest.raises(InvalidObjectError, match=message):
+            parse_path("UULD", path_class)
+        with pytest.raises(InvalidObjectError, match=message):
+            check_path(LatticePath("UULD"), path_class)
+
+
+def _peaks_by_index(p):
+    """A reference peak finder: each up step looks one step ahead by index."""
+    out, h = [], 0
+    for i, s in enumerate(p):
+        h += {"U": 1, "D": -1, "H": 0, "L": -1}[s]
+        if s == "U" and i + 1 < len(p) and p[i + 1] == "D":
+            out.append((i, h))
+    return out
 
 
 class TestPeaks:
+    def test_matches_index_reference_on_every_short_word(self):
+        # trusted, so that words that are no path test the walk too
+        for k in range(9):
+            for t in itertools.product("UDHL", repeat=k):
+                p = LatticePath._trusted("".join(t))
+                assert peaks(p) == _peaks_by_index(p), p
+
     def test_single_peak(self):
         assert peaks(LatticePath("UD")) == [(0, 1)]
 
