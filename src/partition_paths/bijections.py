@@ -15,21 +15,20 @@ class onto the paths without peaks at even level.
 
 Each public map checks its input once, at its entry point, and its kernel's
 result is wrapped unchecked; the compositions chain the kernels, so no
-intermediate path is checked.  A ``MAPS`` row names its inverse's path class
-and kernel, for input already parsed into that class.
+intermediate path is checked.  A ``MAPS`` row holds both directions of a
+named map, each one function from an input line to its image.
 """
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable
 
 from .errors import InvalidObjectError, PreconditionError
-from .partitions import FAST_PATTERNS, SetPartition, find_pattern
-from .paths import LatticePath, _require_path, check_path
+from .partitions import FAST_PATTERNS, SetPartition, find_pattern, parse_partition
+from .paths import LatticePath, _require_path, check_path, parse_path
 
-# The path class each inverse takes: the inverse checks its input against it,
-# and a caller that parsed the input into it runs the MAPS row's kernel.
-_DOMAINS = {"decode": "uh_free", "to_uh_free": "no_even_peak"}
+# The path class each map that reads a path takes, which the map checks and its
+# MAPS row parses a line into; _WANTS names each class in the map's message.
+_DOMAINS = dict(decode="uh_free", to_odd_peaks="uh_free", to_uh_free="no_even_peak")
+_WANTS = {"uh_free": "a UH-free path", "no_even_peak": "no peak at even level"}
 # Each pattern's decode rule: a non-peak down step takes the largest free
 # label (the deque's back) for 12312 and the smallest (its front) for 12321.
 _TAKE = {"12312": "pop", "12321": "popleft"}
@@ -67,7 +66,7 @@ def _require_class(p: LatticePath, path_class: str, caller: str) -> None:
     try:
         check_path(p, path_class)
     except InvalidObjectError as exc:
-        want = "a UH-free path" if path_class == "uh_free" else "no peak at even level"
+        want = _WANTS[path_class]
         raise PreconditionError(f"{caller} expects {want}; {exc}") from None
 
 
@@ -174,7 +173,7 @@ def decode_trace(p: LatticePath, pattern: str = "12312") -> str:
     return "\n".join(lines)
 
 
-def _rewrite_forward(steps: str) -> str:
+def _rewrite_forward(steps: str) -> LatticePath:
     out = []
     open_factors = []  # factors left in each enclosing group, innermost last
     run = left = 0  # up steps before this token; factors left in the group
@@ -201,7 +200,7 @@ def _rewrite_forward(steps: str) -> str:
             out.append("D" if left else "DD")
         else:
             out.append("H" if s == "H" else "UD")
-    return "".join(out)
+    return LatticePath._trusted("".join(out))
 
 
 def _rewrite_backward(steps: str) -> LatticePath:
@@ -250,8 +249,8 @@ def to_odd_peaks(p: LatticePath) -> LatticePath:
     base height, so a stack holding the number of factors still open in each
     enclosing group says what every token becomes as it is read.
     """
-    _require_class(p, "uh_free", "to_odd_peaks")
-    return LatticePath._trusted(_rewrite_forward(p))
+    _require_class(p, _DOMAINS["to_odd_peaks"], "to_odd_peaks")
+    return _rewrite_forward(p)
 
 
 def to_uh_free(p: LatticePath) -> LatticePath:
@@ -272,7 +271,7 @@ def encode_to_odd_peaks(p: SetPartition, pattern: str = "12312") -> LatticePath:
     """Composition of :func:`encode` and :func:`to_odd_peaks`: avoiding
     partitions of [n+1] onto paths of semilength n without even-level peaks."""
     _require_avoids(p, pattern)
-    return LatticePath._trusted(_rewrite_forward(_encode(p)))
+    return _rewrite_forward(_encode(p))
 
 
 def decode_from_odd_peaks(p: LatticePath, pattern: str = "12312") -> SetPartition:
@@ -286,34 +285,48 @@ def _decode_odd_peaks(steps: str, pattern: str) -> SetPartition:
     return _decode(_rewrite_backward(steps), pattern)
 
 
-@dataclass(frozen=True)
-class Bijection:
-    """A named map: the kind of object its forward direction takes
-    ("partition" or "path"), both directions, the path class its inverse
-    takes (``domain``), and ``kernel``, the inverse without its checks, for a
-    path already known to lie in that class."""
+def _path_reader(domain_of: str, kernel, checked, *args):
+    """A map side that reads a path: a line in the path class of map
+    ``domain_of`` is parsed straight into it and run through the kernel, any
+    other line through the checked map as a Schroder path, so that the message
+    names the first fault.  Both calls take ``args`` after the path."""
+    domain = _DOMAINS[domain_of]
 
-    forward_input: str
-    forward: Callable
-    inverse: Callable
-    domain: str
-    kernel: Callable
+    def read(text):
+        try:
+            q = parse_path(text, domain)
+        except InvalidObjectError:
+            return checked(parse_path(text), *args)
+        return kernel(q, *args)
 
-
-def _pattern_map(forward, inverse, domain, kernel, pattern: str) -> Bijection:
-    def fix(f: Callable) -> Callable:  # f with its pattern argument fixed
-        return lambda x: f(x, pattern)
-
-    return Bijection("partition", fix(forward), fix(inverse), domain, fix(kernel))
+    return read
 
 
-_FULL = (encode_to_odd_peaks, decode_from_odd_peaks, _DOMAINS["to_uh_free"])
+# Each side is one function of an input line.  A forward map that reads a
+# partition checks avoidance, its domain, once, so it needs no kernel.
 MAPS = {
-    "sigma": _pattern_map(encode, decode, _DOMAINS["decode"], _decode, "12312"),
-    "phi": _pattern_map(encode, decode, _DOMAINS["decode"], _decode, "12321"),
-    "psi": Bijection(
-        "path", to_odd_peaks, to_uh_free, _DOMAINS["to_uh_free"], _rewrite_backward
-    ),
-    "full12312": _pattern_map(*_FULL, _decode_odd_peaks, "12312"),
-    "full12321": _pattern_map(*_FULL, _decode_odd_peaks, "12321"),
+    "sigma": {
+        "forward": lambda text: encode(parse_partition(text), "12312"),
+        "inverse": _path_reader("decode", _decode, decode, "12312"),
+    },
+    "phi": {
+        "forward": lambda text: encode(parse_partition(text), "12321"),
+        "inverse": _path_reader("decode", _decode, decode, "12321"),
+    },
+    "psi": {
+        "forward": _path_reader("to_odd_peaks", _rewrite_forward, to_odd_peaks),
+        "inverse": _path_reader("to_uh_free", _rewrite_backward, to_uh_free),
+    },
+    "full12312": {
+        "forward": lambda text: encode_to_odd_peaks(parse_partition(text), "12312"),
+        "inverse": _path_reader(
+            "to_uh_free", _decode_odd_peaks, decode_from_odd_peaks, "12312"
+        ),
+    },
+    "full12321": {
+        "forward": lambda text: encode_to_odd_peaks(parse_partition(text), "12321"),
+        "inverse": _path_reader(
+            "to_uh_free", _decode_odd_peaks, decode_from_odd_peaks, "12321"
+        ),
+    },
 }

@@ -174,24 +174,11 @@ def _run_count(args):
 
 
 def _run_map(args):
-    bijection = bijections.MAPS[args.name]
     # popped before _input_objects, which reads stdin when no object is left
     direction = "forward"
     if args.objects and args.objects[0] in ("forward", "inverse"):
         direction = args.objects.pop(0)
-    if direction == "forward":
-        takes = bijection.forward_input
-        parse = partitions.parse_partition if takes == "partition" else paths.parse_path
-        return map(str, map(bijection.forward, map(parse, _input_objects(args))))
-
-    def inverse(text):  # parsed once, straight into the inverse's domain
-        try:
-            q = paths.parse_path(text, bijection.domain)
-        except InvalidObjectError:  # the checked route names the first fault
-            return bijection.inverse(paths.parse_path(text))
-        return bijection.kernel(q)
-
-    return map(str, map(inverse, _input_objects(args)))
+    return map(str, map(bijections.MAPS[args.name][direction], _input_objects(args)))
 
 
 def _run_check(args):

@@ -14,9 +14,15 @@ from partition_paths import (
     LimitExceededError,
     PreconditionError,
     avoids,
+    decode,
+    decode_from_odd_peaks,
+    encode,
+    encode_to_odd_peaks,
     generate_partitions,
     parse_partition,
     parse_path,
+    to_odd_peaks,
+    to_uh_free,
 )
 from partition_paths import bijections, cli, enumeration, paths, rendering
 from partition_paths.cli import main
@@ -26,6 +32,22 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# Each map's pattern (None for psi) and its public functions, both directions
+PUBLIC = {
+    "sigma": ("12312", encode, decode),
+    "phi": ("12321", encode, decode),
+    "psi": (None, to_odd_peaks, to_uh_free),
+    "full12312": ("12312", encode_to_odd_peaks, decode_from_odd_peaks),
+    "full12321": ("12321", encode_to_odd_peaks, decode_from_odd_peaks),
+}
+
+
+def _public(name, direction):
+    pattern, forward, inverse = PUBLIC[name]
+    f = forward if direction == "forward" else inverse
+    return f if pattern is None else lambda x: f(x, pattern)
 
 
 class TestMap:
@@ -161,7 +183,73 @@ class TestMap:
         qs = [q for n in range(8) for q in paths_of(n, domain)]
         code, out, err = run(capsys, "map", name, "inverse", *qs)
         assert (code, err) == (0, "")
-        assert out.splitlines() == [str(bijections.MAPS[name].inverse(q)) for q in qs]
+        assert out.splitlines() == [str(_public(name, "inverse")(q)) for q in qs]
+
+    @pytest.mark.parametrize("name", list(bijections.MAPS))
+    def test_forward_equals_the_public_forward(
+        self, capsys, paths_of, avoiders_of, name
+    ):
+        pattern = PUBLIC[name][0]
+        if pattern is None:
+            xs = [q for n in range(8) for q in paths_of(n, "uh_free")]
+        else:
+            xs = [p for n in range(8) for p in avoiders_of(n + 1, pattern)]
+        code, out, err = run(capsys, "map", name, "forward", *map(str, xs))
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [str(_public(name, "forward")(x)) for x in xs]
+
+    @pytest.mark.parametrize("name", ["sigma", "phi", "full12312", "full12321"])
+    @pytest.mark.parametrize(
+        "partition, code, message",
+        [
+            # a map's own pattern, which it does not avoid
+            ("{}", 2, "partition contains pattern {} at positions 1,2,3,4,5"),
+            (
+                "2,1",
+                1,
+                "restricted-growth violation at position 1: "
+                "2 exceeds previous maximum 0 by more than one",
+            ),
+            ("", 2, "the empty partition is outside the bijection domain"),
+            ("1,a", 1, "syntax error in partition at token 2: 'a'"),
+        ],
+    )
+    def test_pattern_forward_failure_lines(
+        self, capsys, name, partition, code, message
+    ):
+        pattern = PUBLIC[name][0]
+        assert run(capsys, "map", name, "forward", partition.format(pattern)) == (
+            code,
+            "",
+            f"partition-paths: {message.format(pattern)}\n",
+        )
+
+    @pytest.mark.parametrize(
+        "path, code, message",
+        [
+            (
+                "UHD",
+                2,
+                "to_odd_peaks expects a UH-free path; "
+                "up step immediately followed by a horizontal step at position 1",
+            ),
+            ("UUDDDU", 1, "path drops below the axis at position 5"),
+            (
+                "UUDLDD",
+                1,
+                "unknown step character 'L' at position 4 (class schroder uses U/D/H)",
+            ),
+            ("DU", 1, "path drops below the axis at position 1"),
+        ],
+    )
+    def test_psi_forward_failure_lines(self, capsys, path, code, message):
+        # psi forward parses into its domain first, and a line outside it
+        # takes the checked route, as the inverses do
+        assert run(capsys, "map", "psi", "forward", path) == (
+            code,
+            "",
+            f"partition-paths: {message}\n",
+        )
 
 
 class TestListAndCount:
