@@ -189,7 +189,7 @@ def _run_check(args):
             record = {"object": str(p), "n": p.n, "blocks": p.block_count}
             for key, avoids_fast in fast:
                 record[key] = avoids_fast(p)
-            record["irreducible"] = bool(p) and partitions.is_irreducible(p)
+            record["irreducible"] = bool(p) and partitions.is_irreducible_char(p)
         else:
             cls = _infer_path_class(text)
             p = paths.parse_path(text, cls)
@@ -240,17 +240,18 @@ def _run_verify(args):
 
 def _write(records, out, fmt) -> None:
     """The one writer: each record and a newline, as JSON, or as text with a
-    dict as key=value pairs and lower-case booleans.  The closing flush
-    reports a reader that closed stdout while main can still handle it."""
+    dict as key=value pairs and lower-case booleans, told from ints by
+    identity, as 1 == True.  The closing flush reports a reader that closed
+    stdout while main can still handle it."""
     try:
         for record in records:
             if fmt == "json":
                 record = json.dumps(record)
             elif isinstance(record, dict):
-                record = " ".join(
-                    f"{k}={str(v).lower() if isinstance(v, bool) else v}"
+                record = " ".join([
+                    f"{k}={'true' if v is True else 'false' if v is False else v}"
                     for k, v in record.items()
-                )
+                ])
             # two writes, not one f"{record}\n": the join copies each drawing,
             # and into an in-memory stdout it raised the render stage's peak
             # memory by a fifth; so _run_render's blank line is a record too

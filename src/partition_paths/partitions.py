@@ -69,7 +69,7 @@ class SetPartition(tuple):
         return max(self) if self else 0
 
     def __str__(self):
-        return ",".join(map(str, self))
+        return ("%d," * len(self) % self)[:-1]
 
     def __reduce__(self):
         # pickle protocols 0 and 1 would otherwise skip the checking __new__
@@ -92,15 +92,12 @@ def parse_partition(text: str) -> SetPartition:
     if not isinstance(text, str):
         raise InvalidObjectError(f"a partition must be parsed from a str, got {text!r}")
     text = text.strip()
-    if not text:
-        return SetPartition()
-    if "," in text:
-        tokens = text.split(",")
-    elif text.isdecimal():
-        tokens = text
-    else:
+    if not text or text.isdecimal():
+        return SetPartition(map(int, text))
+    if "," not in text:
         raise InvalidObjectError(f"syntax error in partition: {text!r}")
-    if not all(map(str.isdecimal, tokens)):
+    tokens = text.split(",")
+    if "" in tokens or not "".join(tokens).isdecimal():
         tokens = [token.strip() for token in tokens]
         for i, token in enumerate(tokens):
             if not token.isdecimal():
@@ -203,36 +200,35 @@ def find_pattern(p: SetPartition, pattern: SetPartition) -> Optional[tuple]:
       the candidate position, so a candidate whose value last occurs before
       j + g is skipped: no occurrence could be completed from it.
     """
-    word, pat = p.word, pattern.word
-    n, k = len(word), len(pat)
+    n, k = len(p), len(pattern)
     if k == 0:
         return ()
     if k > n:
         return None
-    first, gap, letters = _pattern_facts(pat)
-    last = dict(zip(word, range(n)))  # value -> its last position
+    first, gap, letters = _pattern_facts(pattern)
+    last = dict(zip(p, range(n)))  # value -> its last position
     value = [0] * letters  # pattern letter -> matched value; value[0] = 0
     pos = [0] * k
-    i = j = 0  # pattern index, next word position to try for it
+    i = j = 0  # pattern index, next position of p to try for it
     while True:
-        t = pat[i]
+        t = pattern[i]
         stop = n - k + i + 1
         if first[i]:
             low = value[t - 1]
-            while j < stop and word[j] <= low:
+            while j < stop and p[j] <= low:
                 j += 1
         else:
             v = value[t]
-            j = word.index(v, j) if last[v] >= j else stop
+            j = p.index(v, j) if last[v] >= j else stop
         if j >= stop:
             if not i:
                 return None
             i -= 1
             j = pos[i] + 1
-        elif last[word[j]] < j + gap[i]:  # its value cannot recur in time
+        elif last[p[j]] < j + gap[i]:  # its value cannot recur in time
             j += 1
         else:
-            value[t] = word[j]
+            value[t] = p[j]
             pos[i] = j
             i += 1
             if i == k:

@@ -164,8 +164,7 @@ def _check_encode_decode(pattern: str, n: int) -> Optional[str]:
                 f"level-one peaks in {q}"
             )
         image.append(q)
-    uh_free = _paths(n, "uh_free")
-    if sorted(q.steps for q in image) != sorted(p.steps for p in uh_free):
+    if sorted(image) != sorted(_paths(n, "uh_free")):
         return f"n={n}: encode image differs from the UH-free path set"
 
 
@@ -187,8 +186,7 @@ def _check_odd_peak_rewrite(n: int) -> Optional[str]:
         if bijections.to_uh_free(q) != p:
             return f"n={n}: backward rewrite fails on {q}"
         image.append(q)
-    target = _paths(n, "no_even_peak")
-    if sorted(q.steps for q in image) != sorted(p.steps for p in target):
+    if sorted(image) != sorted(_paths(n, "no_even_peak")):
         return f"n={n}: rewrite image differs from the no-even-peak set"
 
 

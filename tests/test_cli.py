@@ -19,12 +19,13 @@ from partition_paths import (
     encode,
     encode_to_odd_peaks,
     generate_partitions,
+    is_irreducible,
     parse_partition,
     parse_path,
     to_odd_peaks,
     to_uh_free,
 )
-from partition_paths import bijections, cli, enumeration, paths, rendering
+from partition_paths import bijections, cli, enumeration, partitions, paths, rendering
 from partition_paths.cli import main
 
 
@@ -349,6 +350,46 @@ class TestCheck:
             "avoids_121=false irreducible=true\n"
             "object=1,1,2 n=3 blocks=2 avoids_12312=true avoids_12321=true "
             "avoids_121=true irreducible=false\n"
+        )
+
+    @staticmethod
+    def _reference_line(p, fmt):
+        # the record and the formatter built the plain way: join for the
+        # word, isinstance and lower() for booleans, is_irreducible
+        record = {"object": ",".join(map(str, p)), "n": p.n, "blocks": p.block_count}
+        for key, entry in partitions.FAST_PATTERNS.items():
+            record[f"avoids_{key}"] = entry.avoids_fast(p)
+        record["irreducible"] = bool(p) and is_irreducible(p)
+        if fmt == "json":
+            return json.dumps(record)
+        return " ".join(
+            f"{k}={str(v).lower() if isinstance(v, bool) else v}"
+            for k, v in record.items()
+        )
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_partition_records_are_unchanged(self, capsys, partitions_of, fmt):
+        empty, singleton = partitions.SetPartition(), partitions.SetPartition((1,))
+        words = [empty, singleton, *partitions_of(7)]
+        texts = [",".join(map(str, p)) for p in words]
+        code, out, err = run(capsys, "check", "partition", "--format", fmt, *texts)
+        want = "".join(self._reference_line(p, fmt) + "\n" for p in words)
+        assert (code, out, err) == (0, want, "")
+        # an int equal to True is no boolean: n=1 and blocks=1 print as 1
+        assert out.splitlines()[:2] == (
+            [
+                '{"object": "", "n": 0, "blocks": 0, "avoids_12312": true, '
+                '"avoids_12321": true, "irreducible": false}',
+                '{"object": "1", "n": 1, "blocks": 1, "avoids_12312": true, '
+                '"avoids_12321": true, "irreducible": true}',
+            ]
+            if fmt == "json"
+            else [
+                "object= n=0 blocks=0 avoids_12312=true avoids_12321=true "
+                "irreducible=false",
+                "object=1 n=1 blocks=1 avoids_12312=true avoids_12321=true "
+                "irreducible=true",
+            ]
         )
 
     def test_path_record(self, capsys):

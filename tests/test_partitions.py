@@ -84,6 +84,64 @@ class TestParse:
         for text in ("1", "1,1,2", "1,2,3,4,5"):
             assert str(parse_partition(text)) == text
 
+    # each result, or exact message, pinned from the per-token syntax check;
+    # the test of the joined tokens must give the same
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("1,,2", "syntax error in partition at token 2: ''"),
+            (",1", "syntax error in partition at token 1: ''"),
+            ("1,", "syntax error in partition at token 2: ''"),
+            (" 1 , 2 ", (1, 2)),
+            # the 3 at token 2 breaks restricted growth; the syntax error wins
+            ("1,3,x", "syntax error in partition at token 3: 'x'"),
+            ("+1", "syntax error in partition: '+1'"),
+            ("1_0", "syntax error in partition: '1_0'"),
+            ("12a", "syntax error in partition: '12a'"),
+            ("112", (1, 1, 2)),
+            (
+                "1,3",
+                "restricted-growth violation at position 2: "
+                "3 exceeds previous maximum 1 by more than one",
+            ),
+            ("", ()),
+            ("  \t ", ()),
+        ],
+    )
+    def test_parse_results(self, text, expected):
+        if isinstance(expected, tuple):
+            p = parse_partition(text)
+            assert type(p) is SetPartition and p == expected
+        else:
+            with pytest.raises(InvalidObjectError) as info:
+                parse_partition(text)
+            assert str(info.value) == expected
+
+
+class TestStr:
+    """str(p) is the comma form of the word, which parse_partition reads."""
+
+    def test_empty_word(self):
+        assert str(SetPartition()) == ""
+
+    def test_singleton(self):
+        assert str(SetPartition((1,))) == "1"
+
+    def test_letters_of_two_digits(self):
+        word = tuple(range(1, 13)) + (10, 1)
+        assert str(SetPartition(word)) == "1,2,3,4,5,6,7,8,9,10,11,12,10,1"
+
+    def test_parse_inverts_str(self, partitions_of):
+        for p in partitions_of(8):
+            assert parse_partition(str(p)) == p
+
+    def test_parse_inverts_str_on_a_long_word(self):
+        # 10^5 letters, up to 50,000: the comma form has no length limit
+        p = SetPartition(tuple(range(1, 50_001)) + tuple(range(50_000, 0, -1)))
+        text = str(p)
+        assert text == ",".join(map(str, p))
+        assert parse_partition(text) == p
+
 
 class TestGenerate:
     def test_counts_match_bell_triangle(self, partitions_of, bell_oracle):
