@@ -13,16 +13,18 @@ Three maps are implemented, together with their inverses and compositions:
 Composing encode with to_odd_peaks gives bijections from each avoidance
 class onto the paths without peaks at even level.
 
-Each public map checks its input once, at its entry point, and its kernel's
-result is wrapped unchecked; the compositions chain the kernels, so no
-intermediate path is checked.  A ``MAPS`` row holds both directions of a
-named map, each one function from an input line to its image.
+Each public map checks its input once, at its entry point (a forward map in
+its encoding pass), and its kernel's result is wrapped unchecked; the
+compositions chain the kernels, so no intermediate path is checked.  A ``MAPS``
+row holds both directions of a named map, each parsing a line into its domain.
 """
 
 from collections import deque
 
 from .errors import InvalidObjectError, PreconditionError
-from .partitions import FAST_PATTERNS, SetPartition, find_pattern, parse_partition
+from .partitions import (
+    FAST_PATTERNS, SetPartition, _letters, find_pattern, parse_partition
+)
 from .paths import LatticePath, _require_path, check_path, parse_path
 
 # The path class each map that reads a path takes, which the map checks and its
@@ -42,14 +44,15 @@ def _require_pattern(pattern: str) -> None:
         )
 
 
-def _require_avoids(p: SetPartition, pattern: str) -> None:
+def _require_avoids(p: SetPartition, pattern: str) -> str:
+    """The encoding of ``p``, which must be a nonempty avoider of ``pattern``."""
     if not isinstance(p, SetPartition):
         raise InvalidObjectError(f"expected a SetPartition, got {p!r}")
     _require_pattern(pattern)
     if len(p) == 0:
         raise PreconditionError("the empty partition is outside the bijection domain")
     entry = FAST_PATTERNS[pattern]
-    if not entry.avoids_fast(p):
+    if (steps := _encode(p, entry)) is None:
         witness = find_pattern(p, entry.word)
         if witness is None:
             fast = f"the fast {pattern} test says {p} contains the pattern"
@@ -59,6 +62,7 @@ def _require_avoids(p: SetPartition, pattern: str) -> None:
             f"partition contains pattern {pattern} at positions {positions}",
             witness=witness,
         )
+    return steps
 
 
 def _require_class(p: LatticePath, path_class: str, caller: str) -> None:
@@ -85,26 +89,35 @@ def encode(p: SetPartition, pattern: str = "12312") -> LatticePath:
     counts are final once the word ends, and each reserved slot is then
     filled with its ascent U^(late+1) D.
     """
-    _require_avoids(p, pattern)
-    return LatticePath._trusted(_encode(p))
+    return LatticePath._trusted(_require_avoids(p, pattern))
 
 
-def _encode(word: tuple) -> str:
+def _encode(word, rule):
+    """The steps of :func:`encode` for a word of ints, or None unless it is a
+    nonempty partition word that avoids the pattern whose ``Pattern`` is ``rule``."""
+    letters = iter(word)
+    if next(letters, None) != 1:
+        return None
+    step, state = rule.step, rule.start
     out = []
     slots = []  # slots[i]: where the ascent of label i + 2 goes in out
     late = []  # late[i]: occurrences of label i + 1 after the first i + 2
     mx = 1
-    for c in word[1:]:
+    for c in letters:
         if c == mx:
             out.append("H")
-        elif c < mx:
+        elif 0 < c < mx:  # the rule's step says if c completes an occurrence
+            if (state := step(state, c, mx)) is None:
+                return None
             late[c - 1] += 1
             out.append("D")
-        else:
+        elif c == mx + 1:  # restricted growth: a new maximum is the last plus one
             mx = c
             slots.append(len(out))
             late.append(0)
             out.append("")
+        else:  # a letter below 1, or above the maximum plus one
+            return None
     for slot, count in zip(slots, late):
         out[slot] = "U" * (count + 1) + "D"
     return "".join(out)
@@ -270,8 +283,7 @@ def to_uh_free(p: LatticePath) -> LatticePath:
 def encode_to_odd_peaks(p: SetPartition, pattern: str = "12312") -> LatticePath:
     """Composition of :func:`encode` and :func:`to_odd_peaks`: avoiding
     partitions of [n+1] onto paths of semilength n without even-level peaks."""
-    _require_avoids(p, pattern)
-    return _rewrite_forward(_encode(p))
+    return _rewrite_forward(_require_avoids(p, pattern))
 
 
 def decode_from_odd_peaks(p: LatticePath, pattern: str = "12312") -> SetPartition:
@@ -302,15 +314,25 @@ def _path_reader(domain_of: str, kernel, checked, *args):
     return read
 
 
-# Each side is one function of an input line.  A forward map that reads a
-# partition checks avoidance, its domain, once, so it needs no kernel.
+def _partition_reader(pattern: str, kernel, checked):
+    """The mirror of :func:`_path_reader` for a map side that reads a partition."""
+
+    def read(text):
+        if (steps := _encode(_letters(text), FAST_PATTERNS[pattern])) is None:
+            return checked(parse_partition(text), pattern)
+        return kernel(steps)
+
+    return read
+
+
+# Each side is one function of an input line, which it parses into its domain.
 MAPS = {
     "sigma": {
-        "forward": lambda text: encode(parse_partition(text), "12312"),
+        "forward": _partition_reader("12312", LatticePath._trusted, encode),
         "inverse": _path_reader("decode", _decode, decode, "12312"),
     },
     "phi": {
-        "forward": lambda text: encode(parse_partition(text), "12321"),
+        "forward": _partition_reader("12321", LatticePath._trusted, encode),
         "inverse": _path_reader("decode", _decode, decode, "12321"),
     },
     "psi": {
@@ -318,13 +340,13 @@ MAPS = {
         "inverse": _path_reader("to_uh_free", _rewrite_backward, to_uh_free),
     },
     "full12312": {
-        "forward": lambda text: encode_to_odd_peaks(parse_partition(text), "12312"),
+        "forward": _partition_reader("12312", _rewrite_forward, encode_to_odd_peaks),
         "inverse": _path_reader(
             "to_uh_free", _decode_odd_peaks, decode_from_odd_peaks, "12312"
         ),
     },
     "full12321": {
-        "forward": lambda text: encode_to_odd_peaks(parse_partition(text), "12321"),
+        "forward": _partition_reader("12321", _rewrite_forward, encode_to_odd_peaks),
         "inverse": _path_reader(
             "to_uh_free", _decode_odd_peaks, decode_from_odd_peaks, "12321"
         ),

@@ -23,8 +23,8 @@ class SetPartition(tuple):
 
     The empty word represents the partition of the empty set; it is a valid
     value but lies outside the domain of the path bijections.  The
-    constructor is the one check of restricted growth; each letter must be a
-    plain int (not a bool or another int subclass, whose str is no word).
+    constructor checks restricted growth, naming the first fault; each letter
+    must be a plain int (not a bool or another int subclass, whose str is no word).
     """
 
     __slots__ = ()
@@ -84,16 +84,19 @@ def parse_partition(text: str) -> SetPartition:
 
     Accepts comma-separated decimal block indices, or a contiguous digit
     string when every index is a single digit (so "1,1,2" and "112" name the
-    same partition).  The empty string parses to the empty partition.
-
-    Only the syntax is checked here, so a syntax error anywhere is reported
-    before the first growth error, which :class:`SetPartition` reports.
+    same partition).  The empty string parses to the empty partition.  A
+    syntax error anywhere is reported before the first growth error.
     """
+    return SetPartition(_letters(text))
+
+
+def _letters(text: str) -> Iterator[int]:
+    """The letters of a partition word, its syntax checked but not its growth."""
     if not isinstance(text, str):
         raise InvalidObjectError(f"a partition must be parsed from a str, got {text!r}")
     text = text.strip()
     if not text or text.isdecimal():
-        return SetPartition(map(int, text))
+        return map(int, text)
     if "," not in text:
         raise InvalidObjectError(f"syntax error in partition: {text!r}")
     tokens = text.split(",")
@@ -104,7 +107,7 @@ def parse_partition(text: str) -> SetPartition:
                 raise InvalidObjectError(
                     f"syntax error in partition at token {i + 1}: {token!r}"
                 )
-    return SetPartition(map(int, tokens))
+    return map(int, tokens)
 
 
 def generate_partitions(
@@ -340,8 +343,8 @@ class Pattern(NamedTuple):
     (``start`` before the first) and such a letter c, below the running
     maximum mx, and returns the state after c, or None when c completes an
     occurrence; it never mutates the state.  :meth:`avoids_fast` folds the
-    rule over a word, and :func:`generate_partitions` prunes by it letter by
-    letter, so the test and the generator cannot disagree.
+    rule over a word, as ``bijections._encode`` does in the encoding pass,
+    and :func:`generate_partitions` prunes by it letter by letter: they agree.
     """
 
     word: SetPartition

@@ -3,13 +3,15 @@ import random
 import subprocess
 import sys
 from collections import Counter, deque
-from itertools import accumulate
+from itertools import accumulate, product
 from pathlib import Path
 
 import pytest
 
 from partition_paths import (
+    InvalidObjectError,
     LatticePath,
+    LibraryError,
     PreconditionError,
     SetPartition,
     decode,
@@ -28,7 +30,7 @@ from partition_paths import (
 )
 from partition_paths import bijections
 from partition_paths.bijections import MAPS
-from partition_paths.partitions import FAST_PATTERNS, Pattern
+from partition_paths.partitions import FAST_PATTERNS
 from partition_paths.paths import check_path
 
 REF_PARTITION = parse_partition("11232343411")
@@ -66,11 +68,9 @@ class TestEncode:
             encode(SetPartition((1,)), "123")
 
     def test_unwitnessed_containment_is_a_precondition_error(self, monkeypatch):
-        class Refusing(Pattern):
-            def avoids_fast(self, p):
-                return False
-
-        monkeypatch.setitem(FAST_PATTERNS, "12312", Refusing(*FAST_PATTERNS["12312"]))
+        # encode reads the rule's step, which here refuses every letter
+        refusing = FAST_PATTERNS["12312"]._replace(step=lambda state, c, mx: None)
+        monkeypatch.setitem(FAST_PATTERNS, "12312", refusing)
         with pytest.raises(PreconditionError) as exc:
             encode(SetPartition((1, 2, 1, 2)), "12312")
         assert str(exc.value) == (
@@ -83,6 +83,92 @@ class TestEncode:
         for n in range(1, 11):
             for p in generate_partitions(n, avoiding=FAST_PATTERNS[pattern].word):
                 assert encode(p, pattern).steps == encode_oracle(p), p
+
+
+def _encode_without_checks(word):
+    """The encoding pass alone, for a word known to be a nonempty avoider."""
+    out = []
+    slots = []  # slots[i]: where the ascent of label i + 2 goes in out
+    late = []  # late[i]: occurrences of label i + 1 after the first i + 2
+    mx = 1
+    for c in word[1:]:
+        if c == mx:
+            out.append("H")
+        elif c < mx:
+            late[c - 1] += 1
+            out.append("D")
+        else:
+            mx = c
+            slots.append(len(out))
+            late.append(0)
+            out.append("")
+    for slot, count in zip(slots, late):
+        out[slot] = "U" * (count + 1) + "D"
+    return "".join(out)
+
+
+class TestEncodeKernel:
+    """The encoding kernel decides its domain in the pass that encodes: it
+    must answer None exactly off the checked domain, and encode on it."""
+
+    @pytest.mark.parametrize("pattern", ["12312", "12321"])
+    def test_decides_exactly_the_checked_domain(self, pattern):
+        rule = FAST_PATTERNS[pattern]
+        for size in range(7):
+            for word in product(range(5), repeat=size):
+                try:
+                    p = SetPartition(word)
+                except InvalidObjectError:
+                    p = None
+                steps = bijections._encode(word, rule)
+                if p and rule.avoids_fast(p):
+                    assert steps == _encode_without_checks(word), word
+                else:
+                    assert steps is None, word
+
+
+# The strings TestParse.test_parse_results pins in test_partitions.py.
+PARSE_PINNED = (
+    "1,,2", ",1", "1,", " 1 , 2 ", "1,3,x", "+1", "1_0", "12a", "112", "1,3", "",
+    "  \t ",
+)
+# Each forward row that reads a partition, with its public map and pattern.
+PARTITION_ROWS = {
+    "sigma": (encode, "12312"),
+    "phi": (encode, "12321"),
+    "full12312": (encode_to_odd_peaks, "12312"),
+    "full12321": (encode_to_odd_peaks, "12321"),
+}
+
+
+def _outcome(fn, *args):
+    """What a call gives: its value and type, or its error's type and message."""
+    try:
+        value = fn(*args)
+    except LibraryError as exc:
+        return type(exc), str(exc)
+    return type(value), value
+
+
+class TestPartitionRows:
+    """A forward row parses a line straight into its domain; on every line
+    it must give what the public map gives on the parsed partition.  The
+    partitions of [5] and [6] hold occurrences of either pattern, which no
+    line of four characters can."""
+
+    @pytest.mark.parametrize("name", sorted(PARTITION_ROWS))
+    def test_matches_the_public_map(self, name, partitions_of):
+        checked, pattern = PARTITION_ROWS[name]
+        read = MAPS[name]["forward"]
+        lines = [
+            "".join(letters)
+            for size in range(5)
+            for letters in product("1230,x ", repeat=size)
+        ]
+        lines += [str(p) for n in (5, 6) for p in partitions_of(n)]
+        for text in lines + list(PARSE_PINNED):
+            want = _outcome(lambda: checked(parse_partition(text), pattern))
+            assert _outcome(read, text) == want, text
 
 
 class TestDecode:

@@ -480,27 +480,29 @@ class TestVerify:
 
     def test_wrong_fast_predicate_reported_against_census(self, monkeypatch):
         import partition_paths.verify as verify_mod
-        from partition_paths.partitions import FAST_PATTERNS, Pattern
+        from partition_paths.partitions import FAST_PATTERNS
 
-        class Wrong(Pattern):
-            def avoids_fast(self, p):
-                return p.word != (1, 2, 1, 2) and super().avoids_fast(p)
+        rule = FAST_PATTERNS["12312"]
 
-        monkeypatch.setitem(FAST_PATTERNS, "12312", Wrong(*FAST_PATTERNS["12312"]))
-        # encode's precondition asks the fast predicate, and the containment
-        # it reports cannot be witnessed: that check fails with the library
-        # error instead of ending the run; both show by n = 4
+        def wrong(state, c, mx):
+            # refuses a 1 below the maximum 3, which only 1,2,3,1 has by n = 4
+            return None if (c, mx) == (1, 3) else rule.step(state, c, mx)
+
+        monkeypatch.setitem(FAST_PATTERNS, "12312", rule._replace(step=wrong))
+        # the fast predicate and encode's precondition both fold the rule, and
+        # the containment it reports cannot be witnessed: that check fails
+        # with the library error instead of ending the run; both show by n = 4
         results = verify_mod.run_checks(4)
         failed = [(r.name, r.failure) for r in results if not r.ok]
         assert failed == [
             (
                 "fast-avoidance-matches-oracle",
-                "n=4: fast 12312 check disagrees with brute force on 1,2,1,2 "
+                "n=4: fast 12312 check disagrees with brute force on 1,2,3,1 "
                 "(brute says avoids=True)",
             ),
             (
                 "encode-decode-12312",
-                "raised PreconditionError: the fast 12312 test says 1,2,1,2 "
+                "raised PreconditionError: the fast 12312 test says 1,2,3,1 "
                 "contains the pattern, but find_pattern finds no occurrence",
             ),
         ]

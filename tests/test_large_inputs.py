@@ -8,12 +8,14 @@ import math
 import pytest
 
 from partition_paths import (
+    InvalidObjectError,
     LatticePath,
     SetPartition,
     avoids_12312_fast,
     avoids_12321_fast,
     decode,
     encode,
+    encode_to_odd_peaks,
     find_pattern,
     generate_paths,
     large_schroder,
@@ -23,6 +25,7 @@ from partition_paths import (
     to_odd_peaks,
     to_uh_free,
 )
+from partition_paths.bijections import MAPS
 
 N = 10**5
 
@@ -75,6 +78,31 @@ def test_staircase_encode_decode(pattern, encode_oracle):
     assert q.semilength == N
     assert q.steps == encode_oracle(p)
     assert decode(q, pattern) == p
+
+
+FORWARD_ROWS = {
+    "sigma": (encode, "12312"),
+    "phi": (encode, "12321"),
+    "full12312": (encode_to_odd_peaks, "12312"),
+    "full12321": (encode_to_odd_peaks, "12321"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORWARD_ROWS))
+def test_forward_rows_on_a_long_line(name):
+    # an avoider of 10^5 letters; then one whose last letter breaks
+    # restricted growth, which the row reports through the checked route
+    public, pattern = FORWARD_ROWS[name]
+    read = MAPS[name]["forward"]
+    p = SetPartition(staircase(N))
+    assert read(str(p)) == public(p, pattern)
+    text = str(SetPartition(staircase(N - 1))) + ",50001"  # its maximum is 49999
+    with pytest.raises(InvalidObjectError) as exc:
+        read(text)
+    assert str(exc.value) == (
+        "restricted-growth violation at position 100000: "
+        "50001 exceeds previous maximum 49999 by more than one"
+    )
 
 
 def test_fast_predicates_on_staircases():
