@@ -135,18 +135,13 @@ def _input_objects(args) -> list:
         raise InvalidObjectError(message) from None
 
 
-_STEP_LETTERS = set("".join(r.alphabet for r in paths.CLASS_RULES.values()))
-_INFERRED = [(c, set(paths.CLASS_RULES[c].alphabet)) for c in ("schroder", "skew_dyck")]
-_DYCK_STEPS = set(paths.CLASS_RULES["dyck"].alphabet)
-
-
 def _infer_path_class(text: str) -> str:
-    """schroder or skew_dyck, the first whose alphabet holds every step
-    letter of the text; other characters are left for parse_path to report."""
-    letters = set(text) & _STEP_LETTERS
-    for cls, alphabet in _INFERRED:
-        if letters <= alphabet:
-            return cls
+    """schroder unless the text has a left step L, skew_dyck if it has an L
+    but no horizontal step H; other characters are left for parse_path."""
+    if "L" not in text:
+        return "schroder"
+    if "H" not in text:
+        return "skew_dyck"
     raise InvalidObjectError(
         "path mixes horizontal and left steps; no class allows both"
     )
@@ -176,7 +171,7 @@ def _run_count(args):
 def _run_map(args):
     # popped before _input_objects, which reads stdin when no object is left
     direction = "forward"
-    if args.objects and args.objects[0] in ("forward", "inverse"):
+    if args.objects and args.objects[0] in bijections.MAPS[args.name]:
         direction = args.objects.pop(0)
     return map(str, map(bijections.MAPS[args.name][direction], _input_objects(args)))
 
@@ -195,7 +190,7 @@ def _run_check(args):
             p = paths.parse_path(text, cls)
             record = {
                 "object": str(p),
-                "family": "dyck" if set(p) <= _DYCK_STEPS else cls,
+                "family": cls if "H" in p or "L" in p else "dyck",
                 "semilength": p.semilength,
                 "peaks": len(paths.peaks(p)),
                 **vars(paths.classify(p)),

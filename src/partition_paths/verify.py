@@ -95,7 +95,7 @@ def _check_partition_generator(n: int) -> Optional[str]:
     generated = [(lambda n: len(_partitions(n)), "generated {got} partitions")]
     if failure := _equate(_BELL, generated, False, n):
         return failure
-    words = [p.word for p in _partitions(n)]
+    words = list(_partitions(n))
     if sorted(words) != words:
         return f"n={n}: generation order is not lexicographic"
     if len(set(words)) != len(words):

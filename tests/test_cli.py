@@ -1,5 +1,6 @@
 import errno
 import io
+import itertools
 import json
 import os
 import random
@@ -328,6 +329,35 @@ class TestListAndCount:
         assert run(capsys, "count", "partitions", "5") == (0, "52\n", "")
 
 
+# A reference for the class that check path and render infer: the first of
+# schroder and skew_dyck whose alphabet holds every step letter of the text;
+# and for check path's family: dyck when every step is a Dyck step.
+_STEP_LETTERS = set("".join(r.alphabet for r in paths.CLASS_RULES.values()))
+_INFERRED = [(c, set(paths.CLASS_RULES[c].alphabet)) for c in ("schroder", "skew_dyck")]
+_DYCK_STEPS = set(paths.CLASS_RULES["dyck"].alphabet)
+
+
+def _class_by_alphabet(text):
+    letters = set(text) & _STEP_LETTERS
+    for cls, alphabet in _INFERRED:
+        if letters <= alphabet:
+            return cls
+    raise InvalidObjectError(
+        "path mixes horizontal and left steps; no class allows both"
+    )
+
+
+def _family_by_alphabet(p, cls):
+    return "dyck" if set(p) <= _DYCK_STEPS else cls
+
+
+def _outcome(f, text):
+    try:
+        return f(text)
+    except LibraryError as exc:
+        return type(exc), str(exc)
+
+
 class TestCheck:
     def test_partition_record(self, capsys):
         code, out, _ = run(capsys, "check", "partition", "1,2,1")
@@ -415,8 +445,31 @@ class TestCheck:
         assert err == "partition-paths: syntax error in partition at token 3: 'x'\n"
 
     def test_mixed_alphabet_rejected(self, capsys):
-        code, _, err = run(capsys, "check", "path", "UHDL")
-        assert code == 1
+        message = (
+            "partition-paths: path mixes horizontal and left steps; "
+            "no class allows both\n"
+        )
+        assert run(capsys, "check", "path", "UHDL") == (1, "", message)
+        assert run(capsys, "render", "ULHD") == (1, "", message)
+
+    def test_class_matches_the_alphabet_rule(self):
+        # every text of up to 6 characters over the step letters, a letter
+        # of no class, and a space: the same class, or the same error
+        for length in range(7):
+            for letters in itertools.product("UDHLX ", repeat=length):
+                text = "".join(letters)
+                assert _outcome(cli._infer_path_class, text) == _outcome(
+                    _class_by_alphabet, text
+                ), text
+
+    @pytest.mark.parametrize("cls", ["schroder", "skew_dyck"])
+    def test_family_matches_the_alphabet_rule(self, capsys, paths_of, cls):
+        texts = [str(p) for n in range(7) for p in paths_of(n, cls)]
+        code, out, err = run(capsys, "check", "path", "--format", "json", *texts)
+        assert (code, err) == (0, "")
+        assert [json.loads(line)["family"] for line in out.splitlines()] == [
+            _family_by_alphabet(t, cls) for t in texts
+        ]
 
 
 class TestRender:

@@ -1,25 +1,39 @@
 """Each verify check fails, with its exact FAIL line, when the library
 function it calls is broken.
 
-Every test breaks one public function that ``verify`` calls through its
-module and pins the whole list of failing checks at a small bound, so a
-check that stops looking, or starts reporting a later size, is caught.
+Every FAIL-line test breaks one public function that ``verify`` calls
+through its module and pins the whole list of failing checks at a small
+bound, so a check that stops looking, or starts reporting a later size, is
+caught.  The count checks are rows of census equations read by one
+comparer: the last tests pin the comparer's order on a synthetic row, and
+the censuses freed after a run.
 """
+
+from collections import Counter
 
 import pytest
 
-from partition_paths import InvalidObjectError, enumeration, partitions, paths, verify
+from partition_paths import (
+    InvalidObjectError,
+    bijections,
+    enumeration,
+    partitions,
+    paths,
+    verify,
+)
 from partition_paths.enumeration import SeriesTable
+from partition_paths.paths import LatticePath
+
+CACHES = (verify._partitions, verify._avoiders, verify._paths)
 
 
 @pytest.fixture(autouse=True)
 def fresh_caches():
-    # a broken generator must not leave its objects in verify's caches
-    caches = (verify._partitions, verify._avoiders, verify._paths)
-    for cache in caches:
+    # a broken function must not leave its objects in verify's caches
+    for cache in CACHES:
         cache.cache_clear()
     yield
-    for cache in caches:
+    for cache in CACHES:
         cache.cache_clear()
 
 
@@ -219,3 +233,168 @@ def test_negative_bound_raises_before_any_check(monkeypatch):
     with pytest.raises(InvalidObjectError, match="^max_n must be non-negative$"):
         verify.run_checks(-1)
     assert ran == []
+
+
+def test_oracle_finding_12312_in_1111(monkeypatch):
+    def broken(avoids):
+        return lambda p, pat: avoids(p, pat) and (p.word, pat.word) != (
+            (1, 1, 1, 1),
+            (1, 2, 3, 1, 2),
+        )
+
+    assert failures(monkeypatch, partitions, "avoids", broken) == [
+        (
+            "fast-avoidance-matches-oracle",
+            "n=4: fast 12312 check disagrees with brute force on 1,1,1,1 "
+            "(brute says avoids=False)",
+        ),
+        ("encode-decode-12312", "n=3: encode image differs from the UH-free path set"),
+        (
+            "refined-block-counts",
+            "n=3 k=0: formula gives 1, census of 12312-avoiders gives 0",
+        ),
+        (
+            "series-f-counts",
+            "n=3: 14 12312-avoiding partitions of [4], series coefficient is 15",
+        ),
+        (
+            "series-f-prime-counts",
+            "n=3: 5 irreducible 12312-avoiders, series coefficient is 6",
+        ),
+    ]
+
+
+def test_skew_dyck_end_down_path_missing(monkeypatch):
+    def broken(generate_paths):
+        def wrong(n, path_class="schroder"):
+            out = list(generate_paths(n, path_class))
+            if (path_class, n) == ("skew_dyck_end_down", 3):
+                out.pop()
+            return iter(out)
+
+        return wrong
+
+    assert failures(monkeypatch, paths, "generate_paths", broken) == [
+        (
+            "series-f-prime-counts",
+            "n=3: 5 skew Dyck paths ending with a down step, series coefficient is 6",
+        ),
+    ]
+
+
+def test_peaks_finding_one_too_many_in_hud(monkeypatch):
+    def broken(peaks):
+        return lambda p: peaks(p) + [(0, 1)] if p == "HUD" else peaks(p)
+
+    message = "n=2: block count of 1,1,2 does not map to peak count of HUD"
+    assert failures(monkeypatch, paths, "peaks", broken) == [
+        ("encode-decode-12312", message),
+        ("encode-decode-12321", message),
+        ("refined-block-counts", "n=2 k=1: formula gives 3, peak census gives 2"),
+    ]
+
+
+def test_partition_generated_twice(monkeypatch):
+    def broken(generate_partitions):
+        def wrong(n, avoiding=None):
+            out = list(generate_partitions(n, avoiding))
+            if n == 3:
+                out[2] = out[1]
+            return iter(out)
+
+        return wrong
+
+    image = "n=2: encode image differs from the UH-free path set"
+    assert failures(monkeypatch, partitions, "generate_partitions", broken) == [
+        ("partition-generator-bell-count", "n=3: duplicate partition generated"),
+        ("encode-decode-12312", image),
+        ("encode-decode-12321", image),
+        (
+            "series-f-prime-counts",
+            "n=2: 1 irreducible 12312-avoiders, series coefficient is 2",
+        ),
+    ]
+
+
+def test_is_irreducible_wrong_on_121(monkeypatch):
+    def broken(is_irreducible):
+        return lambda p: is_irreducible(p) != (p.word == (1, 2, 1))
+
+    message = (
+        "n=2: irreducibility of 1,2,1 does not match absence of level-one "
+        "peaks in UUDD"
+    )
+    assert failures(monkeypatch, partitions, "is_irreducible", broken) == [
+        (
+            "irreducible-definitions-agree",
+            "n=3: irreducibility definitions disagree on 1,2,1",
+        ),
+        ("encode-decode-12312", message),
+        ("encode-decode-12321", message),
+        (
+            "series-f-prime-counts",
+            "n=2: 1 irreducible 12312-avoiders, series coefficient is 2",
+        ),
+    ]
+
+
+def test_to_odd_peaks_changing_semilength(monkeypatch):
+    def broken(to_odd_peaks):
+        return lambda p: LatticePath("UDUD") if p == "H" else to_odd_peaks(p)
+
+    assert failures(monkeypatch, bijections, "to_odd_peaks", broken) == [
+        ("odd-peak-rewrite-bijection", "n=1: rewrite changes semilength of H"),
+    ]
+
+
+def test_comparer_reports_smallest_n_then_k_then_source():
+    calls = []
+
+    def census(name, table):
+        def count(n):
+            calls.append((name, n))
+            return Counter(table.get(n, {}))
+
+        return count
+
+    reference = (lambda n, k: 0, "n={n} k={k}: {source}, not {want}")
+    sources = (
+        (census("a", {2: {1: 1}, 3: {0: 1}}), "a has {got}"),
+        (census("b", {2: {0: 2, 1: 1}, 3: {0: 1}}), "b has {got}"),
+        (census("c", {}), "c has {got}"),
+    )
+    # n = 2 before n = 3; at n = 2, a disagrees at k = 1 but b already at k = 0
+    check = verify._equation(reference, *sources, by_k=True)
+    assert check(3) == "n=2 k=0: b has 2, not 0"
+    assert calls == [
+        ("a", 0), ("b", 0), ("c", 0), ("a", 1), ("b", 1), ("c", 1), ("a", 2), ("b", 2)
+    ]
+    # at n = 3, a and b disagree at k = 0: a is reported, b and c never counted
+    calls.clear()
+    assert verify._equate(reference, sources, True, 3) == "n=3 k=0: a has 1, not 0"
+    assert calls == [("a", 3)]
+
+
+def test_comparer_reads_a_row_of_n():
+    check = verify._equation(
+        (lambda n: n, "n={n}: {source}, want {want}"),
+        (lambda n: n, "never"),
+        (lambda n: n + (n == 4), "{got} of [{m}]"),
+    )
+    assert check(6) == "n=4: 5 of [5], want 4"
+
+
+def test_run_frees_its_census():
+    verify.run_checks(3)
+    assert [cache.cache_info().currsize for cache in CACHES] == [0, 0, 0]
+
+
+def test_run_frees_its_census_when_a_check_raises(monkeypatch):
+    def raising(max_n):
+        verify._paths(max_n, "dyck")
+        raise RuntimeError("not a library error")
+
+    monkeypatch.setattr(verify, "CHECKS", (("raising", 2, raising),))
+    with pytest.raises(RuntimeError):
+        verify.run_checks(2)
+    assert [cache.cache_info().currsize for cache in CACHES] == [0, 0, 0]
