@@ -25,7 +25,7 @@ from .errors import InvalidObjectError, PreconditionError
 from .partitions import (
     FAST_PATTERNS, SetPartition, _letters, find_pattern, parse_partition
 )
-from .paths import LatticePath, _require_path, check_path, parse_path
+from .paths import LatticePath, _check, _require_path, parse_path
 
 # The path class each map that reads a path takes, which the map checks and its
 # MAPS row parses a line into; _WANTS names each class in the map's message.
@@ -68,7 +68,7 @@ def _require_avoids(p: SetPartition, pattern: str) -> str:
 def _require_class(p: LatticePath, path_class: str, caller: str) -> None:
     _require_path(p, caller)
     try:
-        check_path(p, path_class)
+        _check(p, path_class)
     except InvalidObjectError as exc:
         want = _WANTS[path_class]
         raise PreconditionError(f"{caller} expects {want}; {exc}") from None
@@ -171,19 +171,17 @@ def decode_trace(p: LatticePath, pattern: str = "12312") -> str:
     dump (debugging aid)."""
     _require_pattern(pattern)
     _require_class(p, _DOMAINS["decode"], "decode_trace")
-    steps = "UD" + p
     letters = iter(_decode(p, pattern))
     seen_peaks, lines = 0, []
-    for i, s in enumerate(steps):
-        if s == "U":
-            # an up step's label is the number of peaks passed, its own included
-            if steps[i + 1 : i + 2] == "D":
-                seen_peaks += 1
-            label = seen_peaks
+    # _decode's tokens: a peak P labels its up step with the new peak count,
+    # any other up step takes the count, and the H and D steps a letter
+    for s in "P" + p.replace("UD", "P"):
+        if s == "P":
+            seen_peaks += 1
+            lines += f"U {seen_peaks}", f"D {next(letters)}"
         else:
-            label = next(letters)  # the H and D steps spell the word
-        lines.append(f"{i} {s} {label}")
-    return "\n".join(lines)
+            lines.append(f"{s} {seen_peaks if s == 'U' else next(letters)}")
+    return "\n".join(f"{i} {line}" for i, line in enumerate(lines))
 
 
 def _rewrite_forward(steps: str) -> LatticePath:

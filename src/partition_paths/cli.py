@@ -129,10 +129,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _input_objects(args) -> list:
     try:
-        return args.objects or (sys.stdin or open(0, closefd=False)).read().splitlines()
+        text = "" if args.objects else (sys.stdin or open(0, closefd=False)).read()
     except OSError as exc:  # as a LibraryError, so main reports no failed write
         message = f"cannot read standard input: {exc.strerror}"
         raise InvalidObjectError(message) from None
+    # a line ends at "\n" alone; \x0c, \x1e and the other str.splitlines
+    # separators stay in the line, for its parser to report
+    return args.objects or (text.removesuffix("\n").split("\n") if text else [])
 
 
 def _infer_path_class(text: str) -> str:

@@ -7,6 +7,7 @@ floating point and no radical evaluation anywhere.
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import InvalidObjectError, require_size
 
@@ -106,15 +107,11 @@ def large_schroder(n: int) -> int:
 def bell_numbers(order: int) -> list:
     """Bell numbers B(0) .. B(order), by the Bell triangle."""
     require_size(order, "truncation order")
-    out = [1]
-    row = [1]
+    out, row = [1], [1]
     for _ in range(order):
-        nxt = [row[-1]]
-        for v in row:
-            nxt.append(nxt[-1] + v)
-        row = nxt
+        row = list(accumulate(row, initial=row[-1]))
         out.append(row[0])
-    return out[: order + 1]
+    return out
 
 
 def bell_number(n: int) -> int:

@@ -3,7 +3,7 @@
 from itertools import accumulate
 
 from .errors import InvalidObjectError
-from .paths import LatticePath, _RISE, _RUN, _require_path
+from .paths import LatticePath, _RUN, _require_path
 
 _UNIT, _MARGIN = 20, 10  # SVG user units per lattice unit and around the drawing
 
@@ -68,7 +68,7 @@ def render_svg(p: LatticePath) -> str:
     visited lattice point."""
     _require_path(p, "render_svg")
     xs = list(accumulate(map(_RUN.__getitem__, p), initial=0))
-    ys = list(accumulate(map(_RISE.__getitem__, p), initial=0))
+    ys = p.heights()
     points = list(zip(xs, ys))
     max_y = max(ys)
     width = max(xs) * _UNIT + 2 * _MARGIN

@@ -106,6 +106,23 @@ class TestMap:
         code, out, _ = run(capsys, "map", "sigma", "inverse")
         assert code == 0 and out == "1\n"
 
+    @pytest.mark.parametrize("sep", "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+    def test_lines_split_at_newline_alone(self, capsys, monkeypatch, sep):
+        # str.splitlines would split here and map UD twice; the step parser
+        # reports the separator instead
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"UD{sep}UD\n"))
+        assert run(capsys, "map", "psi", "forward") == (
+            1,
+            "",
+            f"partition-paths: unknown step character {sep!r} at position 3 "
+            "(class schroder uses U/D/H)\n",
+        )
+
+    def test_crlf_lines_map_one_by_one(self, capsys, monkeypatch):
+        # the parser strips the carriage return that ends each line
+        monkeypatch.setattr("sys.stdin", io.StringIO("1,2\r\n1,1\r\n"))
+        assert run(capsys, "map", "sigma", "forward") == (0, "UD\nH\n", "")
+
     def test_precondition_violation_exits_2(self, capsys):
         code, _, err = run(capsys, "map", "sigma", "forward", "12312")
         assert code == 2
@@ -382,6 +399,15 @@ class TestCheck:
             "avoids_121=true irreducible=false\n"
         )
 
+    def test_form_feed_stays_in_its_line(self, capsys, monkeypatch):
+        # one malformed line is no record, not the records of 1,2 and 1
+        monkeypatch.setattr("sys.stdin", io.StringIO("1,2\x0c1\n"))
+        assert run(capsys, "check", "partition") == (
+            1,
+            "",
+            "partition-paths: syntax error in partition at token 2: '2\\x0c1'\n",
+        )
+
     @staticmethod
     def _reference_line(p, fmt):
         # the record and the formatter built the plain way: join for the
@@ -530,36 +556,6 @@ class TestVerify:
         assert "FAIL synthetic-check: n=0: synthetic counterexample" in out
         assert out.splitlines()[-1] == "1/2 checks passed"
 
-
-    def test_wrong_fast_predicate_reported_against_census(self, monkeypatch):
-        import partition_paths.verify as verify_mod
-        from partition_paths.partitions import FAST_PATTERNS
-
-        rule = FAST_PATTERNS["12312"]
-
-        def wrong(state, c, mx):
-            # refuses a 1 below the maximum 3, which only 1,2,3,1 has by n = 4
-            return None if (c, mx) == (1, 3) else rule.step(state, c, mx)
-
-        monkeypatch.setitem(FAST_PATTERNS, "12312", rule._replace(step=wrong))
-        # the fast predicate and encode's precondition both fold the rule, and
-        # the containment it reports cannot be witnessed: that check fails
-        # with the library error instead of ending the run; both show by n = 4
-        results = verify_mod.run_checks(4)
-        failed = [(r.name, r.failure) for r in results if not r.ok]
-        assert failed == [
-            (
-                "fast-avoidance-matches-oracle",
-                "n=4: fast 12312 check disagrees with brute force on 1,2,3,1 "
-                "(brute says avoids=True)",
-            ),
-            (
-                "encode-decode-12312",
-                "raised PreconditionError: the fast 12312 test says 1,2,3,1 "
-                "contains the pattern, but find_pattern finds no occurrence",
-            ),
-        ]
-
     def test_library_error_in_check_is_a_fail_line(self, capsys, monkeypatch):
         import partition_paths.verify as verify_mod
         from partition_paths import PreconditionError
@@ -573,76 +569,6 @@ class TestVerify:
         assert code == 3
         assert "FAIL raising-check: raised PreconditionError: synthetic precondition" in out
         assert out.splitlines()[-1] == "1/2 checks passed"
-
-
-class TestVerifyCatchesBrokenMaps:
-    """verify evaluates each round trip in one direction only; a map broken
-    in either direction still fails a check, at the smallest n it shows."""
-
-    @staticmethod
-    def failures(monkeypatch, name, broken):
-        import partition_paths.verify as verify_mod
-
-        monkeypatch.setattr(bijections, name, broken(getattr(bijections, name)))
-        # every fault shows at n = 2 and touches no larger object
-        return [(r.name, r.failure) for r in verify_mod.run_checks(3) if not r.ok]
-
-    def test_decode_wrong_on_one_path(self, monkeypatch):
-        def broken(decode):
-            def wrong(q, pattern="12312"):
-                if q.steps == "UUDD":
-                    return parse_partition("112")
-                return decode(q, pattern)
-
-            return wrong
-
-        message = "n=2: decode(encode(1,2,1)) roundtrip fails"
-        assert self.failures(monkeypatch, "decode", broken) == [
-            ("encode-decode-12312", message),
-            ("encode-decode-12321", message),
-        ]
-
-    def test_encode_sending_two_avoiders_to_one_path(self, monkeypatch):
-        def broken(encode):
-            def wrong(p, pattern="12312"):
-                if p.word == (1, 2, 1):
-                    p = parse_partition("112")
-                return encode(p, pattern)
-
-            return wrong
-
-        message = "n=2: decode(encode(1,2,1)) roundtrip fails"
-        assert self.failures(monkeypatch, "encode", broken) == [
-            ("encode-decode-12312", message),
-            ("encode-decode-12321", message),
-        ]
-
-    def test_to_uh_free_wrong_on_one_path(self, monkeypatch):
-        def broken(to_uh_free):
-            def wrong(q):
-                return parse_path("HUD") if q.steps == "UHD" else to_uh_free(q)
-
-            return wrong
-
-        assert self.failures(monkeypatch, "to_uh_free", broken) == [
-            ("odd-peak-rewrite-bijection", "n=2: backward rewrite fails on UHD"),
-        ]
-
-    def test_to_odd_peaks_leaving_the_target_class(self, monkeypatch):
-        def broken(to_odd_peaks):
-            def wrong(p):
-                return parse_path("UUDD") if p.steps == "HH" else to_odd_peaks(p)
-
-            return wrong
-
-        # the backward map rejects the even peak at its entry
-        assert self.failures(monkeypatch, "to_odd_peaks", broken) == [
-            (
-                "odd-peak-rewrite-bijection",
-                "raised PreconditionError: to_uh_free expects no peak at even "
-                "level; peak at even level 2 at position 2",
-            ),
-        ]
 
 
 class TestUsage:

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import pytest
@@ -234,6 +235,13 @@ class TestBell:
             1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975,
         ]
         assert bell_number(5) == 52
+
+    def test_binomial_recurrence(self):
+        # an oracle independent of the Bell triangle: B(n+1) = sum C(n,k) B(k)
+        want = [1]
+        for n in range(300):
+            want.append(sum(math.comb(n, k) * b for k, b in enumerate(want)))
+        assert bell_numbers(300) == want
 
 
 class TestDispatcher:

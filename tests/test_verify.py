@@ -18,6 +18,8 @@ from partition_paths import (
     bijections,
     enumeration,
     partitions,
+    parse_partition,
+    parse_path,
     paths,
     verify,
 )
@@ -265,15 +267,7 @@ def test_oracle_finding_12312_in_1111(monkeypatch):
 
 
 def test_skew_dyck_end_down_path_missing(monkeypatch):
-    def broken(generate_paths):
-        def wrong(n, path_class="schroder"):
-            out = list(generate_paths(n, path_class))
-            if (path_class, n) == ("skew_dyck_end_down", 3):
-                out.pop()
-            return iter(out)
-
-        return wrong
-
+    broken = dropping("skew_dyck_end_down", 3)
     assert failures(monkeypatch, paths, "generate_paths", broken) == [
         (
             "series-f-prime-counts",
@@ -344,6 +338,99 @@ def test_to_odd_peaks_changing_semilength(monkeypatch):
 
     assert failures(monkeypatch, bijections, "to_odd_peaks", broken) == [
         ("odd-peak-rewrite-bijection", "n=1: rewrite changes semilength of H"),
+    ]
+
+
+def test_wrong_fast_predicate_reported_against_census(monkeypatch):
+    rule = partitions.FAST_PATTERNS["12312"]
+
+    def wrong(state, c, mx):
+        # refuses a 1 below the maximum 3, which only 1,2,3,1 has by n = 4
+        return None if (c, mx) == (1, 3) else rule.step(state, c, mx)
+
+    def broken(fast_patterns):
+        # bijections holds the same dict, so its entry is replaced in place
+        monkeypatch.setitem(fast_patterns, "12312", rule._replace(step=wrong))
+        return fast_patterns
+
+    # the fast predicate and encode's precondition both fold the rule, and
+    # the containment it reports cannot be witnessed: that check fails
+    # with the library error instead of ending the run; both show by n = 4
+    assert failures(monkeypatch, partitions, "FAST_PATTERNS", broken, 4) == [
+        (
+            "fast-avoidance-matches-oracle",
+            "n=4: fast 12312 check disagrees with brute force on 1,2,3,1 "
+            "(brute says avoids=True)",
+        ),
+        (
+            "encode-decode-12312",
+            "raised PreconditionError: the fast 12312 test says 1,2,3,1 "
+            "contains the pattern, but find_pattern finds no occurrence",
+        ),
+    ]
+
+
+# verify evaluates each round trip in one direction only; a map broken in
+# either direction still fails a check, at the smallest n it shows: every
+# fault below shows at n = 2 and touches no larger object
+def test_decode_wrong_on_one_path(monkeypatch):
+    def broken(decode):
+        def wrong(q, pattern="12312"):
+            if q.steps == "UUDD":
+                return parse_partition("112")
+            return decode(q, pattern)
+
+        return wrong
+
+    message = "n=2: decode(encode(1,2,1)) roundtrip fails"
+    assert failures(monkeypatch, bijections, "decode", broken, 3) == [
+        ("encode-decode-12312", message),
+        ("encode-decode-12321", message),
+    ]
+
+
+def test_encode_sending_two_avoiders_to_one_path(monkeypatch):
+    def broken(encode):
+        def wrong(p, pattern="12312"):
+            if p.word == (1, 2, 1):
+                p = parse_partition("112")
+            return encode(p, pattern)
+
+        return wrong
+
+    message = "n=2: decode(encode(1,2,1)) roundtrip fails"
+    assert failures(monkeypatch, bijections, "encode", broken, 3) == [
+        ("encode-decode-12312", message),
+        ("encode-decode-12321", message),
+    ]
+
+
+def test_to_uh_free_wrong_on_one_path(monkeypatch):
+    def broken(to_uh_free):
+        def wrong(q):
+            return parse_path("HUD") if q.steps == "UHD" else to_uh_free(q)
+
+        return wrong
+
+    assert failures(monkeypatch, bijections, "to_uh_free", broken, 3) == [
+        ("odd-peak-rewrite-bijection", "n=2: backward rewrite fails on UHD"),
+    ]
+
+
+def test_to_odd_peaks_leaving_the_target_class(monkeypatch):
+    def broken(to_odd_peaks):
+        def wrong(p):
+            return parse_path("UUDD") if p.steps == "HH" else to_odd_peaks(p)
+
+        return wrong
+
+    # the backward map rejects the even peak at its entry
+    assert failures(monkeypatch, bijections, "to_odd_peaks", broken, 3) == [
+        (
+            "odd-peak-rewrite-bijection",
+            "raised PreconditionError: to_uh_free expects no peak at even "
+            "level; peak at even level 2 at position 2",
+        ),
     ]
 
 
