@@ -13,10 +13,12 @@ Three maps are implemented, together with their inverses and compositions:
 Composing encode with to_odd_peaks gives bijections from each avoidance
 class onto the paths without peaks at even level.
 
-Each public map checks its input once, at its entry point (a forward map in
-its encoding pass), and its kernel's result is wrapped unchecked; the
-compositions chain the kernels, so no intermediate path is checked.  A ``MAPS``
-row holds both directions of a named map, each parsing a line into its domain.
+Each map's kernel decides its domain in the pass that builds the image (psi
+forward's checks it first) and returns None off it; only then is the input
+checked, for the message.  So each kernel restates its domain's rule, and only
+the parity tests keep it equal to the rule that the checks read.  Results are
+wrapped unchecked; a ``MAPS`` row holds a map's two directions, each a
+function of a line.
 """
 
 from collections import deque
@@ -27,9 +29,10 @@ from .partitions import (
 )
 from .paths import LatticePath, _check, _require_path, parse_path
 
-# The path class each map that reads a path takes, which the map checks and its
-# MAPS row parses a line into; _WANTS names each class in the map's message.
+# The path class each map that reads a path takes, which its kernel decides
+# (psi forward's is checked first); _WANTS names it in the map's message.
 _DOMAINS = dict(decode="uh_free", to_odd_peaks="uh_free", to_uh_free="no_even_peak")
+_DOMAINS["decode_trace"] = _DOMAINS["decode"]
 _WANTS = {"uh_free": "a UH-free path", "no_even_peak": "no peak at even level"}
 # Each pattern's decode rule: a non-peak down step takes the largest free
 # label (the deque's back) for 12312 and the smallest (its front) for 12321.
@@ -65,13 +68,18 @@ def _require_avoids(p: SetPartition, pattern: str) -> str:
     return steps
 
 
-def _require_class(p: LatticePath, path_class: str, caller: str) -> None:
+def _require_image(kernel, p: LatticePath, caller: str, *args):
+    """``kernel(p, *args)`` for a path ``p`` in the class of ``caller``, which
+    the kernel decides; only a path that it refuses is checked, so that the
+    message names the first fault, as :func:`_require_avoids` does."""
     _require_path(p, caller)
-    try:
-        _check(p, path_class)
-    except InvalidObjectError as exc:
-        want = _WANTS[path_class]
-        raise PreconditionError(f"{caller} expects {want}; {exc}") from None
+    if (image := kernel(p, *args)) is None:
+        try:
+            _check(p, _DOMAINS[caller])
+        except InvalidObjectError as exc:
+            want = _WANTS[_DOMAINS[caller]]
+            raise PreconditionError(f"{caller} expects {want}; {exc}") from None
+    return image
 
 
 def encode(p: SetPartition, pattern: str = "12312") -> LatticePath:
@@ -123,30 +131,36 @@ def _encode(word, rule):
     return "".join(out)
 
 
-def _decode(steps: str, pattern: str) -> SetPartition:
-    """The partition spelled by the path with a peak prepended, unchecked."""
+def _decode(steps: str, pattern: str):
+    """The partition spelled by the path with a peak prepended, or None unless
+    ``steps`` is a UH-free path: the pass restates that class's rule."""
+    if steps.lstrip("UDH") or "UH" in steps:
+        return None
     word = []
     # Up-step labels are pushed in nondecreasing order, so the unmatched ones
     # (the up-step multiset minus the down-step multiset) form a sorted deque:
     # its maximum is the back and its minimum the front.  It holds as many
-    # labels as the height before the step, so no down step finds it empty.
+    # labels as the height before the step: a D finding it empty drops below.
     free = deque()
     take = getattr(free, _TAKE[pattern])
     seen_peaks = 0
     # Each peak UD is one token P: it pushes its own label and pops it at
     # once, leaving the deque as it was, and two UD factors never overlap.
-    for s in "P" + steps.replace("UD", "P"):
-        if s == "P":
-            seen_peaks += 1
-            word.append(seen_peaks)
-        elif s == "U":
-            free.append(seen_peaks)
-        elif s == "H":
-            # the largest label to the left is the number of peaks passed
-            word.append(seen_peaks)
-        else:
-            word.append(take())
-    return SetPartition._trusted(word)
+    try:
+        for s in "P" + steps.replace("UD", "P"):
+            if s == "P":
+                seen_peaks += 1
+                word.append(seen_peaks)
+            elif s == "U":
+                free.append(seen_peaks)
+            elif s == "H":
+                # the largest label to the left is the number of peaks passed
+                word.append(seen_peaks)
+            else:
+                word.append(take())
+    except IndexError:
+        return None
+    return None if free else SetPartition._trusted(word)
 
 
 def decode(p: LatticePath, pattern: str = "12312") -> SetPartition:
@@ -162,16 +176,14 @@ def decode(p: LatticePath, pattern: str = "12312") -> SetPartition:
     path decodes to the one-element partition.
     """
     _require_pattern(pattern)
-    _require_class(p, _DOMAINS["decode"], "decode")
-    return _decode(p, pattern)
+    return _require_image(_decode, p, "decode", pattern)
 
 
 def decode_trace(p: LatticePath, pattern: str = "12312") -> str:
     """The step labeling used by :func:`decode`, as an "index step label"
     dump (debugging aid)."""
     _require_pattern(pattern)
-    _require_class(p, _DOMAINS["decode"], "decode_trace")
-    letters = iter(_decode(p, pattern))
+    letters = iter(_require_image(_decode, p, "decode_trace", pattern))
     seen_peaks, lines = 0, []
     # _decode's tokens: a peak P labels its up step with the new peak count,
     # any other up step takes the count, and the H and D steps a letter
@@ -214,35 +226,44 @@ def _rewrite_forward(steps: str) -> LatticePath:
     return LatticePath._trusted("".join(out))
 
 
-def _rewrite_backward(steps: str) -> LatticePath:
+def _rewrite_backward(steps: str):
+    """The steps of :func:`to_uh_free`, or None unless ``steps`` is a path with
+    no peak at an even level: the pass restates that class's rule."""
+    if steps.lstrip("UDH"):
+        return None
     out = []
     # innermost last: [index of the group's ascent in out, factors read] for
-    # a group U B1 ... B(k-1) D whose factors are being read, None for the
-    # interior of a bracket factor U...D
+    # a group U B1 ... B(k-1) D whose factors are being read (an odd height),
+    # None for the interior of a bracket factor U...D (an even height)
     frames = []
-    for s in steps.replace("UD", "P"):  # each peak UD is one token P
-        top = frames[-1] if frames else None
-        if top is not None:
-            if s == "D":
-                # the group ends: its ascent is U^k D, k = factors + 1
-                out[top[0]] = "U" * (top[1] + 1) + "D"
+    try:
+        for s in steps.replace("UD", "P"):  # each peak UD is one token P
+            top = frames[-1] if frames else None
+            if top is not None:
+                if s == "D":
+                    # the group ends: its ascent is U^k D, k = factors + 1
+                    out[top[0]] = "U" * (top[1] + 1) + "D"
+                    frames.pop()
+                elif s == "P":  # a peak at an even level
+                    return None
+                else:
+                    top[1] += 1
+                    if s == "H":
+                        out.append("D")  # an H factor leaves its down step alone
+                    else:  # a U opens a bracket factor
+                        frames.append(None)
+            elif s == "D":
+                # closes a bracket interior, or with no frame drops below
                 frames.pop()
+                out.append("D")
+            elif s == "U":
+                frames.append([len(out), 0])
+                out.append("")
             else:
-                top[1] += 1
-                if s == "H":
-                    out.append("D")  # an H factor leaves its down step alone
-                else:  # a U: a P factor would be a peak at an even level
-                    frames.append(None)
-        elif s == "D":
-            # closes a bracket interior, which ends its factor
-            frames.pop()
-            out.append("D")
-        elif s == "U":
-            frames.append([len(out), 0])
-            out.append("")
-        else:
-            out.append("H" if s == "H" else "UD")
-    return LatticePath._trusted("".join(out))
+                out.append("H" if s == "H" else "UD")
+    except IndexError:
+        return None
+    return None if frames else LatticePath._trusted("".join(out))
 
 
 def to_odd_peaks(p: LatticePath) -> LatticePath:
@@ -260,8 +281,7 @@ def to_odd_peaks(p: LatticePath) -> LatticePath:
     base height, so a stack holding the number of factors still open in each
     enclosing group says what every token becomes as it is read.
     """
-    _require_class(p, _DOMAINS["to_odd_peaks"], "to_odd_peaks")
-    return _rewrite_forward(p)
+    return _require_image(_odd_peaks_or_none, p, "to_odd_peaks")
 
 
 def to_uh_free(p: LatticePath) -> LatticePath:
@@ -274,8 +294,7 @@ def to_uh_free(p: LatticePath) -> LatticePath:
     pass over tokens (a peak UD is one) with an explicit stack, linear time:
     the ascent U^k D fills a reserved slot once its factors are counted.
     """
-    _require_class(p, _DOMAINS["to_uh_free"], "to_uh_free")
-    return _rewrite_backward(p)
+    return _require_image(_rewrite_backward, p, "to_uh_free")
 
 
 def encode_to_odd_peaks(p: SetPartition, pattern: str = "12312") -> LatticePath:
@@ -286,28 +305,37 @@ def encode_to_odd_peaks(p: SetPartition, pattern: str = "12312") -> LatticePath:
 
 def decode_from_odd_peaks(p: LatticePath, pattern: str = "12312") -> SetPartition:
     """Inverse of :func:`encode_to_odd_peaks`; a bad path outranks a bad pattern."""
-    _require_class(p, _DOMAINS["to_uh_free"], "to_uh_free")
+    q = _require_image(_rewrite_backward, p, "to_uh_free")
     _require_pattern(pattern)
-    return _decode_odd_peaks(p, pattern)
+    return _decode(q, pattern)
 
 
-def _decode_odd_peaks(steps: str, pattern: str) -> SetPartition:
-    return _decode(_rewrite_backward(steps), pattern)
+def _decode_odd_peaks(steps: str, pattern: str):
+    q = _rewrite_backward(steps)
+    return None if q is None else _decode(q, pattern)
 
 
-def _path_reader(domain_of: str, kernel, checked, *args):
-    """A map side that reads a path: a line in the path class of map
-    ``domain_of`` is parsed straight into it and run through the kernel, any
-    other line through the checked map as a Schroder path, so that the message
-    names the first fault.  Both calls take ``args`` after the path."""
-    domain = _DOMAINS[domain_of]
+def _odd_peaks_or_none(steps: str):
+    """:func:`_rewrite_forward` on a UH-free path, None off it: unlike the
+    inverse kernels, this one does not decide its class, so a check does."""
+    try:
+        _check(steps, _DOMAINS["to_odd_peaks"])
+    except InvalidObjectError:
+        return None
+    return _rewrite_forward(steps)
+
+
+def _path_reader(kernel, checked, *args):
+    """A map side that reads a path: the kernel decides in its pass, by its own
+    statement of the class's rule, whether the stripped line lies in the map's
+    path class; a line off it, or an input that is not a str, takes the checked
+    map as a Schroder path, so that the message names the first fault.  Both
+    calls take ``args`` after the path."""
 
     def read(text):
-        try:
-            q = parse_path(text, domain)
-        except InvalidObjectError:
-            return checked(parse_path(text), *args)
-        return kernel(q, *args)
+        if isinstance(text, str) and (image := kernel(text.strip(), *args)) is not None:
+            return image
+        return checked(parse_path(text), *args)
 
     return read
 
@@ -327,26 +355,22 @@ def _partition_reader(pattern: str, kernel, checked):
 MAPS = {
     "sigma": {
         "forward": _partition_reader("12312", LatticePath._trusted, encode),
-        "inverse": _path_reader("decode", _decode, decode, "12312"),
+        "inverse": _path_reader(_decode, decode, "12312"),
     },
     "phi": {
         "forward": _partition_reader("12321", LatticePath._trusted, encode),
-        "inverse": _path_reader("decode", _decode, decode, "12321"),
+        "inverse": _path_reader(_decode, decode, "12321"),
     },
     "psi": {
-        "forward": _path_reader("to_odd_peaks", _rewrite_forward, to_odd_peaks),
-        "inverse": _path_reader("to_uh_free", _rewrite_backward, to_uh_free),
+        "forward": _path_reader(_odd_peaks_or_none, to_odd_peaks),
+        "inverse": _path_reader(_rewrite_backward, to_uh_free),
     },
     "full12312": {
         "forward": _partition_reader("12312", _rewrite_forward, encode_to_odd_peaks),
-        "inverse": _path_reader(
-            "to_uh_free", _decode_odd_peaks, decode_from_odd_peaks, "12312"
-        ),
+        "inverse": _path_reader(_decode_odd_peaks, decode_from_odd_peaks, "12312"),
     },
     "full12321": {
         "forward": _partition_reader("12321", _rewrite_forward, encode_to_odd_peaks),
-        "inverse": _path_reader(
-            "to_uh_free", _decode_odd_peaks, decode_from_odd_peaks, "12321"
-        ),
+        "inverse": _path_reader(_decode_odd_peaks, decode_from_odd_peaks, "12321"),
     },
 }

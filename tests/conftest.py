@@ -1,5 +1,6 @@
 """Shared exhaustive-enumeration caches and independent oracles."""
 
+import math
 from functools import lru_cache
 
 import pytest
@@ -29,16 +30,12 @@ def _paths(n, path_class):
     return tuple(generate_paths(n, path_class))
 
 
-def _bell_triangle(order):
-    # Independent oracle: B(n) by the Bell triangle, no partition generation.
+def _bell_by_binomials(order):
+    # Independent oracle: B(n+1) = sum over k of C(n, k) B(k), with neither
+    # partition generation nor the Bell triangle that bell_numbers builds.
     out = [1]
-    row = [1]
-    for _ in range(order):
-        nxt = [row[-1]]
-        for v in row:
-            nxt.append(nxt[-1] + v)
-        row = nxt
-        out.append(row[0])
+    for n in range(order):
+        out.append(sum(math.comb(n, k) * b for k, b in enumerate(out)))
     return out
 
 
@@ -73,7 +70,7 @@ def paths_of():
 
 @pytest.fixture(scope="session")
 def bell_oracle():
-    return _bell_triangle
+    return _bell_by_binomials
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from collections import Counter, deque
+from functools import lru_cache
 from itertools import accumulate, product
 from pathlib import Path
 
@@ -213,12 +214,16 @@ class TestDecode:
             for q in paths_of(n, "uh_free"):
                 steps = "UD" + q.steps
                 labels = _docstring_labels(steps, pattern)
-                want = "\n".join(
-                    f"{i} {s} {x}" for i, (s, x) in enumerate(zip(steps, labels))
-                )
-                assert decode_trace(q, pattern) == want, q
+                assert decode_trace(q, pattern) == _docstring_trace(q, pattern), q
                 word = tuple(x for s, x in zip(steps, labels) if s != "U")
                 assert decode(q, pattern).word == word, q
+
+
+def _docstring_trace(q, pattern):
+    """decode_trace's dump, built from the labels of decode's docstring."""
+    steps = "UD" + q
+    labels = _docstring_labels(steps, pattern)
+    return "\n".join(f"{i} {s} {x}" for i, (s, x) in enumerate(zip(steps, labels)))
 
 
 def _docstring_labels(steps, pattern):
@@ -414,6 +419,129 @@ class TestRewriteKernel:
     def test_matches_reference_on_deep_families(self, family):
         for k in (1, 2, 3, 1000, 30000):
             self._assert_agree(family(k))
+
+
+def _in_class(text, path_class):
+    try:
+        parse_path(text, path_class)
+    except InvalidObjectError:
+        return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _kernel_inputs(path_class):
+    """Every string over U, D, H of length <= 10 and over U, D, H, P, L, x of
+    length <= 6, each with whether it parses into the class.  A literal P
+    matters: the kernels read each peak UD as the token P."""
+    return tuple(
+        (text, _in_class(text, path_class))
+        for alphabet, longest in (("UDH", 10), ("UDHPLx", 6))
+        for size in range(longest + 1)
+        for text in map("".join, product(alphabet, repeat=size))
+    )
+
+
+class TestPathKernels:
+    """Each inverse kernel decides its class in the pass that builds its image:
+    it must answer None exactly where parse_path refuses the class, and agree
+    with the reference loops everywhere else."""
+
+    @pytest.mark.parametrize("pattern", ["12312", "12321"])
+    def test_decode_decides_exactly_uh_free(self, pattern):
+        for text, ok in _kernel_inputs("uh_free"):
+            word = bijections._decode(text, pattern)
+            if ok:
+                assert word == _decode_by_lookahead(text, pattern), text
+            else:
+                assert word is None, text
+
+    def test_rewrite_backward_decides_exactly_no_even_peak(self):
+        for text, ok in _kernel_inputs("no_even_peak"):
+            q = bijections._rewrite_backward(text)
+            if ok:
+                assert q == _rewrite_backward_by_index(text), text
+            else:
+                assert q is None, text
+
+
+# Each MAPS side that reads a path, with its public map and the arguments
+# after the path.
+PATH_ROWS = {
+    ("sigma", "inverse"): (decode, "12312"),
+    ("phi", "inverse"): (decode, "12321"),
+    ("psi", "forward"): (to_odd_peaks,),
+    ("psi", "inverse"): (to_uh_free,),
+    ("full12312", "inverse"): (decode_from_odd_peaks, "12312"),
+    ("full12321", "inverse"): (decode_from_odd_peaks, "12321"),
+}
+_WANTS = {"uh_free": "a UH-free path", "no_even_peak": "no peak at even level"}
+
+
+def _check_first(name, q, pattern):
+    """What the public map ``name`` gives on ``q`` when the path's class is
+    checked before any kernel runs, with its value from the reference loops:
+    decode and decode_trace check the pattern first, and decode_from_odd_peaks
+    checks the path first, as to_uh_free."""
+    if name in ("decode", "decode_trace") and pattern not in bijections.PATTERNS:
+        raise PreconditionError(_unsupported(pattern))
+    caller = "to_uh_free" if name == "decode_from_odd_peaks" else name
+    path_class = "no_even_peak" if caller == "to_uh_free" else "uh_free"
+    try:
+        check_path(q, path_class)
+    except InvalidObjectError as exc:
+        raise PreconditionError(f"{caller} expects {_WANTS[path_class]}; {exc}")
+    if caller == "to_uh_free":
+        q = LatticePath(_rewrite_backward_by_index(q))
+        if name == "to_uh_free":
+            return q
+        if pattern not in bijections.PATTERNS:
+            raise PreconditionError(_unsupported(pattern))
+    if name == "decode_trace":
+        return _docstring_trace(q, pattern)
+    return SetPartition(_decode_by_lookahead(q, pattern))
+
+
+class TestPathRows:
+    """The mirror of TestPartitionRows: a path side runs its kernel on the
+    stripped line and takes the checked route only where the kernel refuses,
+    so on every line it must give what the public map gives on the parsed
+    path, and each public map must give what it gave when it checked the
+    class before the kernel ran."""
+
+    @pytest.mark.parametrize("row", sorted(PATH_ROWS), ids="-".join)
+    def test_matches_the_public_map(self, row, paths_of):
+        checked, *args = PATH_ROWS[row]
+        read = MAPS[row[0]][row[1]]
+        lines = [
+            "".join(letters)
+            for size in range(6)
+            for letters in product("UDH x\t", repeat=size)
+        ]
+        lines += [
+            str(q)
+            for n in range(7)
+            for path_class in ("uh_free", "no_even_peak")
+            for q in paths_of(n, path_class)
+        ]
+        for text in lines + [None, ["U", "D"], b"UD"]:
+            want = _outcome(lambda: checked(parse_path(text), *args))
+            assert _outcome(read, text) == want, text
+
+    @pytest.mark.parametrize(
+        "fn", [decode, decode_trace, to_uh_free, decode_from_odd_peaks],
+        ids=lambda fn: fn.__name__,
+    )
+    def test_public_maps_match_the_check_first_order(self, fn, paths_of):
+        patterns = ("12312", "12321", "bogus")
+        if fn is to_uh_free:
+            patterns = (None,)
+        for n in range(7):
+            for q in paths_of(n, "schroder"):
+                for pattern in patterns:
+                    args = () if pattern is None else (pattern,)
+                    want = _outcome(_check_first, fn.__name__, q, pattern)
+                    assert _outcome(fn, q, *args) == want, (q, pattern)
 
 
 class TestOddPeakRewrite:

@@ -10,10 +10,12 @@ import pytest
 from partition_paths import (
     InvalidObjectError,
     LatticePath,
+    PreconditionError,
     SetPartition,
     avoids_12312_fast,
     avoids_12321_fast,
     decode,
+    decode_from_odd_peaks,
     encode,
     encode_to_odd_peaks,
     find_pattern,
@@ -103,6 +105,49 @@ def test_forward_rows_on_a_long_line(name):
         "restricted-growth violation at position 100000: "
         "50001 exceeds previous maximum 49999 by more than one"
     )
+
+
+# Each inverse row, with its public map, the arguments after the path, and an
+# in-domain line of 10^5 steps: UH-free, or with every peak at an odd level.
+UH_FREE_LINE = "UUD" * (N // 4) + "D" * (N // 4)
+ODD_PEAK_LINE = "U" * (N // 2 - 1) + "D" * (N // 2 - 1) + "UD"
+# A fault of each class at the line's end, and the message that names it.
+CLASS_FAULTS = {
+    UH_FREE_LINE: (
+        "UHD",
+        "decode expects a UH-free path; up step immediately followed by a "
+        f"horizontal step at position {N + 1}",
+    ),
+    ODD_PEAK_LINE: (
+        "UUDD",
+        "to_uh_free expects no peak at even level; "
+        f"peak at even level 2 at position {N + 2}",
+    ),
+}
+INVERSE_ROWS = {
+    "sigma": (decode, ("12312",), UH_FREE_LINE),
+    "phi": (decode, ("12321",), UH_FREE_LINE),
+    "psi": (to_uh_free, (), ODD_PEAK_LINE),
+    "full12312": (decode_from_odd_peaks, ("12312",), ODD_PEAK_LINE),
+    "full12321": (decode_from_odd_peaks, ("12321",), ODD_PEAK_LINE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVERSE_ROWS))
+def test_inverse_rows_on_a_long_line(name):
+    # the kernel decides the domain in its pass; a fault at the very end of
+    # the line sends it through the checked route, whose message names it
+    public, args, line = INVERSE_ROWS[name]
+    assert len(line) == N
+    read = MAPS[name]["inverse"]
+    assert read(line) == public(LatticePath(line), *args)
+    with pytest.raises(InvalidObjectError) as exc:
+        read(line + "U")
+    assert str(exc.value) == "path ends at height 1, expected 0"
+    fault, message = CLASS_FAULTS[line]
+    with pytest.raises(PreconditionError) as exc:
+        read(line + fault)
+    assert str(exc.value) == message
 
 
 def test_fast_predicates_on_staircases():
