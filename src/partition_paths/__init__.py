@@ -13,7 +13,6 @@ from .bijections import (
 )
 from .enumeration import (
     SeriesTable,
-    bell_number,
     bell_numbers,
     binomial,
     count_blocks,
@@ -35,7 +34,6 @@ from .partitions import (
     avoids,
     avoids_12312_fast,
     avoids_12321_fast,
-    contains_pattern,
     decompose,
     find_pattern,
     generate_partitions,

@@ -114,11 +114,6 @@ def bell_numbers(order: int) -> list:
     return out
 
 
-def bell_number(n: int) -> int:
-    require_size(n, "n")
-    return bell_numbers(n)[n]
-
-
 @dataclass(frozen=True)
 class SeriesTable:
     """Truncated power-series coefficients, indexed by semilength."""

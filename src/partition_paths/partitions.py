@@ -239,11 +239,6 @@ def find_pattern(p: SetPartition, pattern: SetPartition) -> Optional[tuple]:
             j += 1
 
 
-def contains_pattern(p: SetPartition, pattern: SetPartition) -> bool:
-    """True if some subsequence of ``p`` is order-isomorphic to ``pattern``."""
-    return find_pattern(p, pattern) is not None
-
-
 def avoids(p: SetPartition, pattern: SetPartition) -> bool:
     return find_pattern(p, pattern) is None
 

@@ -8,7 +8,10 @@ first counterexample on failure.  A count check is a row (``_equation``):
 a reference count of n, or of (n, k), and sources that must equal it.  One
 comparer, ``_equate``, reports the smallest n, then the smallest k, then the
 first source in row order, counting a source only when it gets there.  To
-check one more count, add a source to its row in ``CHECKS``.
+check one more count, add a source to its row in ``CHECKS``.  A bijection
+check is a row too (``_bijection``): a domain census, a forward map, a
+target census and laws of an object and its image, read by ``_biject``.  To
+check one more bijection, add a row.
 """
 
 from collections import Counter
@@ -77,6 +80,61 @@ def _equation(reference, *sources, by_k=False):
     return _by_size(partial(_equate, reference, sources, by_k))
 
 
+def _biject(domain, forward, target, laws, n: int) -> Optional[str]:
+    """The first failure of one bijection row at size n, or None.  Each p of
+    ``domain(n)`` goes to q = forward(p), and the first law ``(holds, words)``
+    in row order with ``holds(p, q)`` false gives its words, formatted with
+    n, p and q; no later law or object is evaluated.  Once every p has
+    passed, a sorted image other than the target's sorted ``census(n)``
+    gives the target's words.
+
+    The round trip inverse(q) = p is a law, evaluated in this direction
+    only: it makes forward injective, and the image check makes forward's
+    outputs exactly the target, as multisets.  So each q of the target is
+    forward(p) for a p handled here, where inverse(q) = p was computed, and
+    forward(inverse(q)) = q follows, since the maps are deterministic.
+    """
+    image = []
+    for p in domain(n):
+        q = forward(p)
+        for holds, words in laws:
+            if not holds(p, q):
+                return words.format(n=n, p=p, q=q)
+        image.append(q)
+    census, words = target
+    if sorted(image) != sorted(census(n)):
+        return words.format(n=n)
+
+
+def _bijection(domain, forward, target, *laws):
+    """The check of sizes 0 .. max_n of one bijection row (see ``_biject``)."""
+    return _by_size(partial(_biject, domain, forward, target, laws))
+
+
+@lru_cache(maxsize=1)
+def _peak_levels(q) -> list:  # one peaks call per path, for the laws that share it
+    return [level for _, level in paths.peaks(q)]
+
+
+def _encoding(pattern: str):
+    """encode is a bijection, inverse decode, from the pattern's avoiders of
+    [n+1] onto the UH-free paths of semilength n, carrying blocks to peaks."""
+    return _bijection(
+        lambda n: _avoiders(n + 1, pattern),
+        lambda p: bijections.encode(p, pattern),
+        (lambda n: _paths(n, "uh_free"),
+         "n={n}: encode image differs from the UH-free path set"),
+        (lambda p, q: bijections.decode(q, pattern) == p,
+         "n={n}: decode(encode({p})) roundtrip fails"),
+        (lambda p, q: p.block_count == len(_peak_levels(q)) + 1,
+         "n={n}: block count of {p} does not map to peak count of {q}"),
+        (lambda p, q: partitions.is_irreducible(p) == all(map(
+            paths.CLASS_RULES["uh_free_no_level_one"].peak_ok, _peak_levels(q))),
+         "n={n}: irreducibility of {p} does not match absence of level-one "
+         "peaks in {q}"),
+    )
+
+
 def _each_pattern(count, words: str) -> tuple:
     """One source per bijection pattern: ``count`` of its avoiders of [n+1]."""
     return tuple(
@@ -86,7 +144,7 @@ def _each_pattern(count, words: str) -> tuple:
     )
 
 
-_BELL = (lambda n: enumeration.bell_number(n), "n={n}: {source}, Bell number is {want}")
+_BELL = (lambda n: enumeration.bell_numbers(n)[n], "n={n}: {source}, Bell number is {want}")
 _RECURRENCE = "n={n}: {source}, recurrence gives {want}"
 _SERIES = "n={n}: {source}, series coefficient is {want}"
 
@@ -135,61 +193,6 @@ def _check_paths_reparse(n: int) -> Optional[str]:
                 return f"n={n}: {cls} path {p} does not survive parse"
 
 
-def _check_encode_decode(pattern: str, n: int) -> Optional[str]:
-    """encode is a bijection from the pattern's avoiders of [n+1] onto the
-    UH-free paths of semilength n, with decode its inverse, and it carries
-    block count and irreducibility to peak count and level-one peaks.
-
-    Only decode(encode(p)) = p is evaluated.  It makes encode injective, and
-    the image check makes encode's outputs exactly the UH-free paths, as
-    multisets.  So every UH-free q is encode(p) for some avoider p the loop
-    handled, where decode(q) = p was computed, and encode(decode(q)) = q
-    follows.  The maps are deterministic, so a loop over the UH-free paths
-    would only repeat calls whose results were compared here.
-    """
-    no_level_one_peak = paths.CLASS_RULES["uh_free_no_level_one"].peak_ok
-    image = []
-    for p in _avoiders(n + 1, pattern):
-        q = bijections.encode(p, pattern)
-        if bijections.decode(q, pattern) != p:
-            return f"n={n}: decode(encode({p})) roundtrip fails"
-        levels = [lvl for _, lvl in paths.peaks(q)]
-        if p.block_count != len(levels) + 1:
-            return f"n={n}: block count of {p} does not map to peak count of {q}"
-        irreducible = partitions.is_irreducible(p)
-        no_level_one = all(map(no_level_one_peak, levels))
-        if irreducible != no_level_one:
-            return (
-                f"n={n}: irreducibility of {p} does not match absence of "
-                f"level-one peaks in {q}"
-            )
-        image.append(q)
-    if sorted(image) != sorted(_paths(n, "uh_free")):
-        return f"n={n}: encode image differs from the UH-free path set"
-
-
-def _check_odd_peak_rewrite(n: int) -> Optional[str]:
-    """to_odd_peaks is a semilength-preserving bijection from the UH-free
-    paths onto the paths without even-level peaks, with to_uh_free its
-    inverse.
-
-    As in :func:`_check_encode_decode`, only to_uh_free(to_odd_peaks(p)) = p
-    is evaluated: with the image check it covers every path q of the target,
-    which is to_odd_peaks(p) for some p the loop handled, so
-    to_odd_peaks(to_uh_free(q)) = q follows.
-    """
-    image = []
-    for p in _paths(n, "uh_free"):
-        q = bijections.to_odd_peaks(p)
-        if q.semilength != p.semilength:
-            return f"n={n}: rewrite changes semilength of {p}"
-        if bijections.to_uh_free(q) != p:
-            return f"n={n}: backward rewrite fails on {q}"
-        image.append(q)
-    if sorted(image) != sorted(_paths(n, "no_even_peak")):
-        return f"n={n}: rewrite image differs from the no-even-peak set"
-
-
 def _check_series_identity(max_n: int) -> Optional[str]:
     # always order 16, whatever max_n (at most its cap, 16); its PASS line
     # still prints the capped max_n, which ROADMAP item 1 mends
@@ -205,7 +208,6 @@ def _check_series_identity(max_n: int) -> Optional[str]:
     ]
     if product != [1] + [0] * order:
         return f"f' * (1 - x(1-x)f) is not 1 up to order {order}: {product}"
-    return None
 
 
 CHECKS = (
@@ -234,9 +236,18 @@ CHECKS = (
         (lambda n: enumeration._terms("skew_dyck", n)[n], _RECURRENCE),
         (lambda n: len(_paths(n, "skew_dyck")), "generated {got} skew_dyck paths"),
     )),
-    ("encode-decode-12312", 8, _by_size(partial(_check_encode_decode, "12312"))),
-    ("encode-decode-12321", 8, _by_size(partial(_check_encode_decode, "12321"))),
-    ("odd-peak-rewrite-bijection", 8, _by_size(_check_odd_peak_rewrite)),
+    ("encode-decode-12312", 8, _encoding("12312")),
+    ("encode-decode-12321", 8, _encoding("12321")),
+    ("odd-peak-rewrite-bijection", 8, _bijection(
+        lambda n: _paths(n, "uh_free"),
+        lambda p: bijections.to_odd_peaks(p),
+        (lambda n: _paths(n, "no_even_peak"),
+         "n={n}: rewrite image differs from the no-even-peak set"),
+        (lambda p, q: q.semilength == p.semilength,
+         "n={n}: rewrite changes semilength of {p}"),
+        (lambda p, q: bijections.to_uh_free(q) == p,
+         "n={n}: backward rewrite fails on {q}"),
+    )),
     ("refined-block-counts", 8, _equation(
         (lambda n, k: enumeration.count_blocks(n, k),
          "n={n} k={k}: formula gives {want}, {source}"),
@@ -284,6 +295,6 @@ def run_checks(max_n: int) -> list:
                 failure = f"raised {type(exc).__name__}: {exc}"
             results.append(CheckResult(name, bound, failure))
     finally:
-        for census in (_partitions, _avoiders, _paths):
+        for census in (_partitions, _avoiders, _paths, _peak_levels):
             census.cache_clear()
     return results

@@ -6,7 +6,7 @@ from functools import lru_cache
 import pytest
 
 from partition_paths import (
-    contains_pattern,
+    avoids,
     decompose,
     generate_partitions,
     generate_paths,
@@ -22,7 +22,7 @@ def _partitions(m):
 @lru_cache(maxsize=None)
 def _avoiders(m, pattern):
     pat = parse_partition(pattern)
-    return tuple(p for p in _partitions(m) if not contains_pattern(p, pat))
+    return tuple(p for p in _partitions(m) if avoids(p, pat))
 
 
 @lru_cache(maxsize=None)

@@ -204,7 +204,7 @@ def test_criterion_8_verify_command_and_exact_arithmetic():
         series_f(12).coefficients[12],
         series_f_prime(12).coefficients[12],
         enumeration.large_schroder(12),
-        enumeration.bell_number(12),
+        enumeration.bell_numbers(12)[12],
         enumeration.narayana(12, 5),
     ):
         assert type(value) is int

@@ -23,7 +23,6 @@ from partition_paths import (
     PreconditionError,
     SeriesTable,
     SetPartition,
-    bell_number,
     bell_numbers,
     binomial,
     classify,
@@ -69,7 +68,6 @@ SIZED = [
     pytest.param(bell_numbers, "truncation order", id="bell_numbers"),
     pytest.param(lambda n: series("schroder", n), "truncation order", id="series"),
     pytest.param(large_schroder, "n", id="large_schroder"),
-    pytest.param(bell_number, "n", id="bell_number"),
     pytest.param(run_checks, "max_n", id="run_checks"),
 ]
 
@@ -153,7 +151,6 @@ API = [
     (narayana, [[4, 0], [2, -1]], int),
     (count_blocks, [[4, -1], [2, 0]], int),
     (large_schroder, [[4]], int),
-    (bell_number, [[4]], int),
     (bell_numbers, [[4]], list),
     (series, [["f", "bell"], [4]], SeriesTable),
     (series_f, [[4]], SeriesTable),

@@ -5,7 +5,8 @@ Every FAIL-line test breaks one public function that ``verify`` calls
 through its module and pins the whole list of failing checks at a small
 bound, so a check that stops looking, or starts reporting a later size, is
 caught.  The count checks are rows of census equations read by one
-comparer: the last tests pin the comparer's order on a synthetic row, and
+comparer, and the bijection checks are rows of maps and laws read by
+another: the last tests pin each comparer's order on a synthetic row, and
 the censuses freed after a run.
 """
 
@@ -471,9 +472,60 @@ def test_comparer_reads_a_row_of_n():
     assert check(6) == "n=4: 5 of [5], want 4"
 
 
+def test_bijection_comparer_reports_smallest_n_then_first_law_then_image():
+    calls = []
+
+    def law(name, fails_on):
+        def holds(p, q):
+            calls.append((name, p, q))
+            return p != fails_on
+
+        return holds
+
+    def forward(p):
+        calls.append(("forward", p))
+        return p + 10
+
+    def census(wrong_at):
+        # the images in reverse order, with one image too many at wrong_at
+        def target(n):
+            calls.append(("target", n))
+            return tuple(range(2 * n + 9, 9, -1)) + (10,) * (n == wrong_at)
+
+        return target
+
+    def row(fails_on, wrong_at):
+        return verify._bijection(
+            lambda n: tuple(range(2 * n)),
+            forward,
+            (census(wrong_at), "n={n}: image is not the target"),
+            (law("a", fails_on), "n={n}: a fails on {p} -> {q}"),
+            (law("b", None), "never"),
+        )
+
+    # n = 2 fails at its third object and n = 3 would too: the first law
+    # that fails ends the check, before law b, object 3 and the image
+    assert row(2, None)(3) == "n=2: a fails on 2 -> 12"
+    assert calls == [
+        ("target", 0),
+        ("forward", 0), ("a", 0, 10), ("b", 0, 10),
+        ("forward", 1), ("a", 1, 11), ("b", 1, 11),
+        ("target", 1),
+        ("forward", 0), ("a", 0, 10), ("b", 0, 10),
+        ("forward", 1), ("a", 1, 11), ("b", 1, 11),
+        ("forward", 2), ("a", 2, 12),
+    ]
+    # every object passes: the image is read last and compared as a multiset,
+    # so the reversed target passes at n = 1 and the extra image fails n = 2
+    calls.clear()
+    assert row(None, 2)(3) == "n=2: image is not the target"
+    assert calls[-2:] == [("b", 3, 13), ("target", 2)]
+
+
 def test_run_frees_its_census():
     verify.run_checks(3)
     assert [cache.cache_info().currsize for cache in CACHES] == [0, 0, 0]
+    assert verify._peak_levels.cache_info().currsize == 0
 
 
 def test_run_frees_its_census_when_a_check_raises(monkeypatch):
