@@ -6,8 +6,9 @@ through its module and pins the whole list of failing checks at a small
 bound, so a check that stops looking, or starts reporting a later size, is
 caught.  The count checks are rows of census equations read by one
 comparer, and the bijection checks are rows of maps and laws read by
-another: the last tests pin each comparer's order on a synthetic row, and
-the censuses freed after a run.
+another: the encode-row tests break two laws on one object to pin the law
+order, and count the peaks calls; the last tests pin each comparer's order
+on a synthetic row, and the censuses freed after a run.
 """
 
 from collections import Counter
@@ -433,6 +434,78 @@ def test_to_odd_peaks_leaving_the_target_class(monkeypatch):
             "level; peak at even level 2 at position 2",
         ),
     ]
+
+
+# an encode row tries its laws in the order round trip, block count,
+# irreducibility: with two laws broken on one object, the earlier one is
+# reported
+def test_encode_row_tries_round_trip_before_block_count(monkeypatch):
+    def wrong_decode(decode):
+        def wrong(q, pattern="12312"):
+            if q.steps == "UUDD":
+                return parse_partition("112")
+            return decode(q, pattern)
+
+        return wrong
+
+    def extra_peak(peaks):
+        return lambda p: peaks(p) + [(0, 1)] if p == "UUDD" else peaks(p)
+
+    monkeypatch.setattr(bijections, "decode", wrong_decode(bijections.decode))
+    message = "n=2: decode(encode(1,2,1)) roundtrip fails"
+    assert failures(monkeypatch, paths, "peaks", extra_peak, 3) == [
+        (
+            "dyck-peak-distribution-is-narayana",
+            "n=2: 0 Dyck paths with 1 peaks, Narayana number is 1",
+        ),
+        ("encode-decode-12312", message),
+        ("encode-decode-12321", message),
+        ("refined-block-counts", "n=2 k=1: formula gives 3, peak census gives 2"),
+    ]
+
+
+def test_encode_row_tries_block_count_before_irreducibility(monkeypatch):
+    def wrong_irreducible(is_irreducible):
+        return lambda p: is_irreducible(p) != (p.word == (1, 1, 2))
+
+    def extra_peak(peaks):
+        return lambda p: peaks(p) + [(0, 1)] if p == "HUD" else peaks(p)
+
+    monkeypatch.setattr(
+        partitions, "is_irreducible", wrong_irreducible(partitions.is_irreducible)
+    )
+    message = "n=2: block count of 1,1,2 does not map to peak count of HUD"
+    assert failures(monkeypatch, paths, "peaks", extra_peak, 3) == [
+        (
+            "irreducible-definitions-agree",
+            "n=3: irreducibility definitions disagree on 1,1,2",
+        ),
+        ("encode-decode-12312", message),
+        ("encode-decode-12321", message),
+        ("refined-block-counts", "n=2 k=1: formula gives 3, peak census gives 2"),
+        (
+            "series-f-prime-counts",
+            "n=2: 3 irreducible 12312-avoiders, series coefficient is 2",
+        ),
+    ]
+
+
+@pytest.mark.parametrize("pattern", bijections.PATTERNS)
+def test_encode_row_reads_peaks_once_per_path(monkeypatch, pattern):
+    # the block-count and irreducibility laws share one peaks call per path
+    seen = []
+
+    def counting(p):
+        seen.append(str(p))
+        return peaks(p)
+
+    peaks = paths.peaks
+    monkeypatch.setattr(paths, "peaks", counting)
+    verify._peak_levels.cache_clear()
+    assert verify._encoding(pattern)(4) is None
+    every_path = [str(q) for n in range(5) for q in paths.generate_paths(n, "uh_free")]
+    assert sorted(seen) == sorted(every_path)
+    verify._peak_levels.cache_clear()
 
 
 def test_comparer_reports_smallest_n_then_k_then_source():
