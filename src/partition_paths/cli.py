@@ -11,6 +11,7 @@ be written).
 """
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -28,6 +29,7 @@ from .errors import (
 # the library's generators take any size.
 DEFAULT_LIMIT = 12
 USAGE_ERROR = 64
+_CHUNK = 1 << 16  # characters of stdin read at a time
 # the exit code of each library error
 EXIT_CODES = {
     InvalidObjectError: 1,
@@ -127,15 +129,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _input_objects(args) -> list:
+def _input_objects(args):
+    """The objects on argv, or else an iterator over the lines of stdin."""
+    return args.objects or itertools.chain.from_iterable(_stdin_lines())
+
+
+def _stdin_lines():
+    """The lines of stdin, each without its "\\n", as one list per chunk read,
+    so that memory stays flat and a pipeline's stages overlap.  A line ends
+    at "\\n" alone: \\x0c, \\x1e and the other str.splitlines separators stay in
+    the line, for its parser to report.  A line that spans chunks is joined
+    once from its pieces."""
+    pieces = []
     try:
-        text = "" if args.objects else (sys.stdin or open(0, closefd=False)).read()
+        stream = sys.stdin or open(0, closefd=False, newline="\n")
+        while chunk := stream.read(_CHUNK):
+            lines = chunk.split("\n")
+            pieces.append(lines[0])
+            if len(lines) > 1:
+                lines[0] = "".join(pieces)
+                pieces = [lines.pop()]
+                yield lines
     except OSError as exc:  # as a LibraryError, so main reports no failed write
         message = f"cannot read standard input: {exc.strerror}"
         raise InvalidObjectError(message) from None
-    # a line ends at "\n" alone; \x0c, \x1e and the other str.splitlines
-    # separators stay in the line, for its parser to report
-    return args.objects or (text.removesuffix("\n").split("\n") if text else [])
+    if tail := "".join(pieces):
+        yield [tail]
 
 
 def _infer_path_class(text: str) -> str:
@@ -172,7 +191,7 @@ def _run_count(args):
 
 
 def _run_map(args):
-    # popped before _input_objects, which reads stdin when no object is left
+    # popped first, so that _input_objects streams stdin when no object is left
     direction = "forward"
     if args.objects and args.objects[0] in bijections.MAPS[args.name]:
         direction = args.objects.pop(0)
@@ -283,7 +302,7 @@ def main(argv=None) -> int:
         print(f"partition-paths: {exc}", file=sys.stderr)
         return EXIT_CODES[type(exc)]
     except OSError as exc:
-        # Only the output raises one here, as _input_objects turns a failed
+        # Only the output raises one here, as _stdin_lines turns a failed
         # read of stdin into a LibraryError.  Point stdout at devnull, so that
         # the interpreter's final flush cannot fail again; a reader that
         # closed it (as `| head` does) gets a quiet 1, as the Python docs on

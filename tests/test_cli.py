@@ -1,3 +1,4 @@
+import argparse
 import errno
 import io
 import itertools
@@ -6,6 +7,9 @@ import os
 import random
 import subprocess
 import sys
+import threading
+import time
+import tracemalloc
 
 import pytest
 
@@ -673,7 +677,7 @@ class TestUsage:
 
     def test_unreadable_stdin_is_no_write_failure(self, capsys, monkeypatch):
         class Unreadable:
-            def read(self):
+            def read(self, size=-1):
                 raise OSError(errno.EIO, "Input/output error")
 
         monkeypatch.setattr(sys, "stdin", Unreadable())
@@ -681,6 +685,26 @@ class TestUsage:
             1,
             "",
             "partition-paths: cannot read standard input: Input/output error\n",
+        )
+
+    def test_a_read_error_follows_the_records_before_it(self, monkeypatch):
+        class FailsAfterOneChunk:
+            chunks = ["UHD\nUD\n"]
+
+            def read(self, size=-1):
+                if self.chunks:
+                    return self.chunks.pop()
+                raise OSError(errno.EIO, "Input/output error")
+
+        # stdout and stderr are one stream here, so that their order shows
+        both = io.StringIO()
+        monkeypatch.setattr(sys, "stdin", FailsAfterOneChunk())
+        monkeypatch.setattr(sys, "stdout", both)
+        monkeypatch.setattr(sys, "stderr", both)
+        assert main(["map", "psi", "inverse"]) == 1
+        assert both.getvalue() == (
+            "UUDD\nUD\n"
+            "partition-paths: cannot read standard input: Input/output error\n"
         )
 
     @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out-file"])
@@ -710,6 +734,119 @@ class TestUsage:
         assert proc.wait(timeout=60) == 1
         assert first == b"1,1,1,1,1,1,1,1,1,1,1\n"
         assert err == b""
+
+
+def _stdin_objects(monkeypatch, stream):
+    monkeypatch.setattr(sys, "stdin", stream)
+    return list(cli._input_objects(argparse.Namespace(objects=[])))
+
+
+def _split(text):
+    """The line rule, read off the whole text: a line ends at "\\n" alone,
+    empty input has no object and "\\n" one empty object."""
+    return text.removesuffix("\n").split("\n") if text else []
+
+
+class TestStdinReader:
+    """stdin is read a chunk at a time; lines must come out as _split gives
+    them, whatever the chunk size."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_random_texts_split_as_the_whole_text(self, monkeypatch, chunk):
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        rng = random.Random(3300 + chunk)
+        for _ in range(2000):
+            text = "".join(rng.choice("ab\n\r\x0c") for _ in range(rng.randint(0, 12)))
+            assert _stdin_objects(monkeypatch, io.StringIO(text)) == _split(text), text
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_a_line_three_chunks_long(self, monkeypatch, chunk):
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        for start in range(chunk + 1):  # the line starts at each offset in a chunk
+            text = "U" * start + "\n" + "H" * (3 * chunk) + "\nUD"
+            assert _stdin_objects(monkeypatch, io.StringIO(text)) == _split(text)
+
+    def test_one_long_line_is_read_in_linear_time(self, monkeypatch):
+        # 62,500 chunks of one line, joined once; a line grown by
+        # concatenation, chunk by chunk, would copy about 10^11 characters
+        monkeypatch.setattr(cli, "_CHUNK", 64)
+        deadline = time.perf_counter() + 10
+
+        class Timed(io.StringIO):
+            def read(self, size=-1):
+                assert time.perf_counter() < deadline, "stdin is not read in linear time"
+                return super().read(size)
+
+        text = "H" * 4_000_000 + "\n"
+        assert _stdin_objects(monkeypatch, Timed(text)) == _split(text)
+
+    def test_memory_stays_flat_in_the_input(self, monkeypatch):
+        # about two chunks' lines; the whole text and its 200,000 lines, as
+        # they were held before the first object was made, take over 13 MB
+        bound = 4 * 2**20
+        monkeypatch.setattr(sys, "stdin", io.StringIO("UUDHD\n" * 200_000))
+        tracemalloc.start()
+        try:
+            for _ in cli._input_objects(argparse.Namespace(objects=[])):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+    def test_an_endless_stdin_streams_until_its_reader_stops(self):
+        # `yes UD | partition-paths map psi forward | head -n 2`
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "partition_paths.cli", "map", "psi", "forward"],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            bufsize=0,
+        )
+
+        def feed():
+            try:
+                while True:
+                    proc.stdin.write(b"UD\n" * 4096)
+            except BrokenPipeError:  # the map has exited
+                pass
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            first = [proc.stdout.readline(), proc.stdout.readline()]
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+        writer.join(timeout=60)
+        err = proc.stderr.read()
+        proc.stdin.close()
+        proc.stderr.close()
+        assert not writer.is_alive()
+        assert (first, code, err) == ([b"UD\n", b"UD\n"], 1, b"")
+
+    def test_the_fallback_stdin_splits_at_newline_alone(self, tmp_path):
+        # with sys.stdin None the reader opens descriptor 0 itself, and a
+        # lone \r must stay in its line, as it does through sys.stdin
+        source = tmp_path / "in"
+        source.write_bytes(b"1,2\r1\n")
+        script = (
+            "import sys; from partition_paths import cli; sys.stdin = None; "
+            "sys.exit(cli.main(sys.argv[1:]))"
+        )
+        with open(source) as stdin:
+            proc = subprocess.run(
+                [sys.executable, "-c", script, "check", "partition"],
+                stdin=stdin,
+                capture_output=True,
+                text=True,
+            )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1,
+            "",
+            "partition-paths: syntax error in partition at token 2: '2\\r1'\n",
+        )
 
 
 class TestLibraryErrors:
