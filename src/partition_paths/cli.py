@@ -11,7 +11,6 @@ be written).
 """
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -29,7 +28,6 @@ from .errors import (
 # the library's generators take any size.
 DEFAULT_LIMIT = 12
 USAGE_ERROR = 64
-_CHUNK = 1 << 16  # characters of stdin read at a time
 # the exit code of each library error
 EXIT_CODES = {
     InvalidObjectError: 1,
@@ -51,6 +49,8 @@ class _ChecksFailed(Exception):
 def _selection_misuse(args):
     if args.n < 0:
         return "n must be non-negative"
+    if args.max_n < 0:
+        return "--max-n must be non-negative"
     if args.kind == "paths" and args.pattern is not None:
         return "--pattern applies only to partitions"
     if args.kind == "partitions" and args.path_class is not None:
@@ -131,30 +131,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _input_objects(args):
     """The objects on argv, or else an iterator over the lines of stdin."""
-    return args.objects or itertools.chain.from_iterable(_stdin_lines())
+    return args.objects or _stdin_lines()
 
 
 def _stdin_lines():
-    """The lines of stdin, each without its "\\n", as one list per chunk read,
+    """The lines of stdin, each without its "\\n", handed on as they arrive,
     so that memory stays flat and a pipeline's stages overlap.  A line ends
     at "\\n" alone: \\x0c, \\x1e and the other str.splitlines separators stay in
-    the line, for its parser to report.  A line that spans chunks is joined
-    once from its pieces."""
-    pieces = []
+    the line, for its parser to report."""
     try:
-        stream = sys.stdin or open(0, closefd=False, newline="\n")
-        while chunk := stream.read(_CHUNK):
-            lines = chunk.split("\n")
-            pieces.append(lines[0])
-            if len(lines) > 1:
-                lines[0] = "".join(pieces)
-                pieces = [lines.pop()]
-                yield lines
+        for line in sys.stdin or open(0, closefd=False, newline="\n"):
+            yield line.removesuffix("\n")
     except OSError as exc:  # as a LibraryError, so main reports no failed write
         message = f"cannot read standard input: {exc.strerror}"
         raise InvalidObjectError(message) from None
-    if tail := "".join(pieces):
-        yield [tail]
+    except UnicodeDecodeError as exc:  # from a strict decoder, on bytes it refuses
+        message = f"cannot read standard input: not {exc.encoding} ({exc.reason})"
+        raise InvalidObjectError(message) from None
 
 
 def _infer_path_class(text: str) -> str:

@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import random
+import select
 import subprocess
 import sys
 import threading
@@ -621,6 +622,7 @@ class TestUsage:
             (["verify", "--max-n", "-1"], "--max-n must be non-negative"),
             (["series", "f", "--order", "-1"], "--order must be non-negative"),
             (["list", "partitions", "-1"], "n must be non-negative"),
+            (["count", "paths", "2", "--max-n", "-1"], "--max-n must be non-negative"),
             (["list", "paths", "2", "--pattern", "12312"], "--pattern applies only"),
             (["count", "partitions", "2", "--class", "dyck"], "--class applies only"),
             (
@@ -677,7 +679,7 @@ class TestUsage:
 
     def test_unreadable_stdin_is_no_write_failure(self, capsys, monkeypatch):
         class Unreadable:
-            def read(self, size=-1):
+            def __iter__(self):
                 raise OSError(errno.EIO, "Input/output error")
 
         monkeypatch.setattr(sys, "stdin", Unreadable())
@@ -688,23 +690,34 @@ class TestUsage:
         )
 
     def test_a_read_error_follows_the_records_before_it(self, monkeypatch):
-        class FailsAfterOneChunk:
-            chunks = ["UHD\nUD\n"]
-
-            def read(self, size=-1):
-                if self.chunks:
-                    return self.chunks.pop()
+        class FailsAfterTwoLines:
+            def __iter__(self):
+                yield from ["UHD\n", "UD\n"]
                 raise OSError(errno.EIO, "Input/output error")
 
         # stdout and stderr are one stream here, so that their order shows
         both = io.StringIO()
-        monkeypatch.setattr(sys, "stdin", FailsAfterOneChunk())
+        monkeypatch.setattr(sys, "stdin", FailsAfterTwoLines())
         monkeypatch.setattr(sys, "stdout", both)
         monkeypatch.setattr(sys, "stderr", both)
         assert main(["map", "psi", "inverse"]) == 1
         assert both.getvalue() == (
             "UUDD\nUD\n"
             "partition-paths: cannot read standard input: Input/output error\n"
+        )
+
+    def test_undecodable_stdin_is_one_line(self):
+        # a strict decoder, as in a UTF-8 locale outside UTF-8 mode
+        proc = subprocess.run(
+            [sys.executable, "-m", "partition_paths.cli", "map", "psi", "forward"],
+            input=b"UD\n\xff\n",
+            capture_output=True,
+            env={**os.environ, "PYTHONIOENCODING": "utf-8:strict"},
+        )
+        assert (proc.returncode, proc.stderr) == (
+            1,
+            b"partition-paths: cannot read standard input: not utf-8 "
+            b"(invalid start byte)\n",
         )
 
     @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out-file"])
@@ -747,42 +760,52 @@ def _split(text):
     return text.removesuffix("\n").split("\n") if text else []
 
 
-class TestStdinReader:
-    """stdin is read a chunk at a time; lines must come out as _split gives
-    them, whatever the chunk size."""
+class _Trickle(io.BytesIO):
+    """Bytes handed on a few at a time, as a slow pipe hands them to the
+    buffered reader under sys.stdin."""
 
-    @pytest.mark.parametrize("chunk", [1, 2, 3])
-    def test_random_texts_split_as_the_whole_text(self, monkeypatch, chunk):
-        monkeypatch.setattr(cli, "_CHUNK", chunk)
-        rng = random.Random(3300 + chunk)
+    def __init__(self, data, size):
+        super().__init__(data)
+        self.size = size
+
+    def read1(self, size=-1):
+        return super().read1(self.size)
+
+
+def _trickled(text, size, trickle=_Trickle):
+    """text as sys.stdin is on POSIX: decoded and split at "\\n" alone."""
+    return io.TextIOWrapper(trickle(text.encode(), size), "utf-8", newline="\n")
+
+
+class TestStdinReader:
+    """stdin is read by its own lines; they must come out as _split gives
+    them, however the bytes arrive."""
+
+    @pytest.mark.parametrize("size", [1, 2, 3])  # bytes per read: lines span reads
+    def test_random_texts_split_as_the_whole_text(self, monkeypatch, size):
+        rng = random.Random(3300 + size)
         for _ in range(2000):
             text = "".join(rng.choice("ab\n\r\x0c") for _ in range(rng.randint(0, 12)))
-            assert _stdin_objects(monkeypatch, io.StringIO(text)) == _split(text), text
-
-    @pytest.mark.parametrize("chunk", [1, 2, 3])
-    def test_a_line_three_chunks_long(self, monkeypatch, chunk):
-        monkeypatch.setattr(cli, "_CHUNK", chunk)
-        for start in range(chunk + 1):  # the line starts at each offset in a chunk
-            text = "U" * start + "\n" + "H" * (3 * chunk) + "\nUD"
-            assert _stdin_objects(monkeypatch, io.StringIO(text)) == _split(text)
+            stream = _trickled(text, size)
+            assert _stdin_objects(monkeypatch, stream) == _split(text), text
 
     def test_one_long_line_is_read_in_linear_time(self, monkeypatch):
-        # 62,500 chunks of one line, joined once; a line grown by
-        # concatenation, chunk by chunk, would copy about 10^11 characters
-        monkeypatch.setattr(cli, "_CHUNK", 64)
+        # 62,500 reads of one line; a line grown by concatenation, read by
+        # read, would copy about 10^11 characters
         deadline = time.perf_counter() + 10
 
-        class Timed(io.StringIO):
-            def read(self, size=-1):
+        class Timed(_Trickle):
+            def read1(self, size=-1):
                 assert time.perf_counter() < deadline, "stdin is not read in linear time"
-                return super().read(size)
+                return super().read1(size)
 
         text = "H" * 4_000_000 + "\n"
-        assert _stdin_objects(monkeypatch, Timed(text)) == _split(text)
+        stream = _trickled(text, 64, Timed)
+        assert _stdin_objects(monkeypatch, stream) == _split(text)
 
     def test_memory_stays_flat_in_the_input(self, monkeypatch):
-        # about two chunks' lines; the whole text and its 200,000 lines, as
-        # they were held before the first object was made, take over 13 MB
+        # the whole text and its 200,000 lines, as they were held before
+        # the first object was made, take over 13 MB
         bound = 4 * 2**20
         monkeypatch.setattr(sys, "stdin", io.StringIO("UUDHD\n" * 200_000))
         tracemalloc.start()
@@ -825,6 +848,30 @@ class TestStdinReader:
         proc.stderr.close()
         assert not writer.is_alive()
         assert (first, code, err) == ([b"UD\n", b"UD\n"], 1, b"")
+
+    def test_a_record_is_written_before_stdin_ends(self):
+        # someone typing into `partition-paths map psi forward`: one line,
+        # then nothing more, with stdin still open
+        command = [sys.executable, "-u", "-m", "partition_paths.cli", "map", "psi"]
+        proc = subprocess.Popen(
+            [*command, "forward"],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        try:
+            proc.stdin.write(b"UUDD\n")
+            proc.stdin.flush()
+            ready, _, _ = select.select([proc.stdout], [], [], 10)
+            first = proc.stdout.readline() if ready else b""
+            proc.stdin.close()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+        err = proc.stderr.read()
+        proc.stdout.close()
+        proc.stderr.close()
+        assert (first, code, err) == (b"UHD\n", 0, b"")
 
     def test_the_fallback_stdin_splits_at_newline_alone(self, tmp_path):
         # with sys.stdin None the reader opens descriptor 0 itself, and a
