@@ -6,7 +6,7 @@ Generation order is lexicographic by step string under U < D < H < L.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate
 from operator import length_hint
 from typing import Callable, Iterator, Optional
@@ -16,6 +16,7 @@ from .errors import InvalidObjectError, require_size
 _RISE = {"U": 1, "D": -1, "H": 0, "L": -1}
 _RUN = {"U": 1, "D": 1, "H": 2, "L": -1}
 _HALF_UNITS = {"U": 1, "D": 1, "H": 2, "L": 1}  # twice the semilength a step adds
+_TAIL_UNITS = 12  # the most half units that generate_paths finishes from its table
 
 
 @dataclass(frozen=True)
@@ -40,11 +41,11 @@ class ClassRules:
     @cached_property
     def _moves(self) -> dict:
         """Each step (``""`` at the start) to the (step, rise, half units) of
-        the steps that may follow it, in decreasing alphabet order: the children
-        that :func:`generate_paths` pushes, so that they pop in increasing order."""
-        down, bad = self.alphabet[::-1], self.forbidden
+        the steps that may follow it, in alphabet order: the children that
+        :func:`generate_paths` tries, in generation order."""
+        steps, bad = self.alphabet, self.forbidden
         return {
-            prev: [(s, _RISE[s], _HALF_UNITS[s]) for s in down if prev + s not in bad]
+            prev: [(s, _RISE[s], _HALF_UNITS[s]) for s in steps if prev + s not in bad]
             for prev in ("", *self.alphabet)
         }
 
@@ -246,31 +247,40 @@ def generate_paths(n: int, path_class: str = "schroder") -> Iterator[LatticePath
     """Yield every path of semilength n in the class exactly once, in
     lexicographic order of the step string under U < D < H < L.
 
-    Iterative depth-first search over step choices, pruned by height and
-    budget.  The class rules are bound once: the children of each step are
-    its row of the class's ``_moves`` table, which leaves out the factors
-    that :func:`parse_path` looks for, and the peak rule gives the levels at which
-    U may not be followed by D.  The pruning keeps every prefix above the
-    axis and lets every leaf end on it, so leaves are not validated again.
-    Any n is taken; the CLI's list and count hold n to their exhaustive limit.
+    Meet in the middle: a depth-first search builds each prefix until at most
+    ``min(n, _TAIL_UNITS)`` half units are left, and a table memoised for this
+    call, bounded by that cap, holds every finish of such a state in order, so
+    each path costs one join.  Both take a step's children from its ``_moves``
+    row, the peak rule and the height bounds that keep a prefix above the axis
+    and let it end there, so no leaf is checked again.  Any n is taken; the
+    CLI's list and count hold n to their exhaustive limit.
     """
     rules = _rules(path_class)
     require_size(n, "semilength")
     moves = rules._moves
     bad_peaks = {h for h in range(1, n + 1) if rules.peak_ok and not rules.peak_ok(h)}
-    end_down = rules.end_down
+    split = min(n, _TAIL_UNITS)
+
+    def children(prev, left, y):  # (step, half units left, height) of each child
+        return [
+            (s, left - units, y + rise)
+            for s, rise, units in moves[prev]
+            if 0 <= y + rise <= left - units
+            and not (s == "D" and prev == "U" and y in bad_peaks)
+        ]
+
+    @cache
+    def tails(prev, left, y):  # every finish of a state, in generation order
+        if left == 0:
+            return [""] if not rules.end_down or _ends_down(prev) else []
+        return [s + t for s, r, h in children(prev, left, y) for t in tails(s, r, h)]
+
     leaf = LatticePath._trusted
     stack = [("", "", 2 * n, 0)]  # (prefix, its last step, half units left, height)
     while stack:
-        steps, prev, remaining, y = stack.pop()
-        if remaining == 0:
-            if not end_down or _ends_down(steps):
-                yield leaf(steps)
-            continue
-        for s, rise, units in moves[prev]:
-            h = y + rise
-            if h < 0 or h > remaining - units:
-                continue
-            if s == "D" and prev == "U" and y in bad_peaks:
-                continue
-            stack.append((steps + s, s, remaining - units, h))
+        steps, prev, left, y = stack.pop()
+        if left <= split:
+            yield from map(leaf, map(steps.__add__, tails(prev, left, y)))
+        else:  # pushed reversed, so that the children pop in generation order
+            kids = reversed(children(prev, left, y))
+            stack.extend((steps + s, s, r, h) for s, r, h in kids)

@@ -4,12 +4,14 @@ asserted; a quadratic or recursive body shows up as a hang or a
 RecursionError here."""
 
 import math
+import tracemalloc
 
 import pytest
 
 from partition_paths import (
     InvalidObjectError,
     LatticePath,
+    PATH_CLASSES,
     PreconditionError,
     SetPartition,
     avoids_12312_fast,
@@ -201,9 +203,19 @@ def test_series_at_order_2000():
 
 
 def test_oracle_and_path_generator_do_not_recurse():
-    # a pattern as long as the word, and a path of 2000 steps: both deeper
-    # than the default recursion limit
+    # a pattern as long as the word, and paths of 2000 steps: both deeper
+    # than the default recursion limit.  The generator's table of finishes
+    # stops at its cap, so the first path of each class takes little memory.
     word = SetPartition((1,) * 3000)
     assert find_pattern(word, word) == tuple(range(3000))
-    first = next(generate_paths(1000))
-    assert first.steps == "U" * 1000 + "D" * 1000
+    tracemalloc.start()
+    try:
+        firsts = {cls: next(generate_paths(1000, cls)) for cls in PATH_CLASSES}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    for cls, first in firsts.items():
+        assert parse_path(first.steps, cls) == first and first.semilength == 1000
+    assert firsts["schroder"].steps == "U" * 1000 + "D" * 1000
+    assert firsts["no_even_peak"].steps == "U" * 999 + "DU" + "D" * 999

@@ -1,6 +1,7 @@
 import copy
 import copyreg
 import itertools
+import math
 import pickle
 from collections import Counter
 
@@ -18,15 +19,45 @@ from partition_paths import (
     parse_path,
     peaks,
 )
+from partition_paths.enumeration import _terms
 from partition_paths.paths import _HALF_UNITS, check_path
 
 REF_PATH = "HUUUDUUDDHUUDDHDD"
 
-_ORDER = {"U": 0, "D": 1, "H": 2, "L": 3}
+_RANK = str.maketrans("UDHL", "0123")
 
 
 def _lex_key(p):
-    return [_ORDER[s] for s in p.steps]
+    """A str that orders paths as U < D < H < L order their steps."""
+    return p.translate(_RANK)
+
+
+# a count of each class that generates nothing: its recurrence row, and for
+# Dyck paths the Catalan numbers
+_ROWS = {
+    "schroder": "schroder",
+    "uh_free": "f",
+    "no_even_peak": "f",
+    "uh_free_no_level_one": "f_prime",
+    "skew_dyck": "skew_dyck",
+    "skew_dyck_end_down": "f_prime",
+}
+
+
+def _count(n, path_class):
+    if path_class == "dyck":
+        return math.comb(2 * n, n) // (n + 1)
+    return _terms(_ROWS[path_class], n)[n]
+
+
+def _ordered_count(paths):
+    """How many paths there are, checking on the way that each comes after
+    the one before it, so that none comes twice."""
+    count, last = 0, None
+    for key in map(_lex_key, paths):
+        assert last is None or last < key, key
+        count, last = count + 1, key
+    return count
 
 
 def _message(fn, *args):
@@ -237,19 +268,26 @@ class TestGenerate:
             1, 1, 3, 10, 36, 137,
         ]
 
-    def test_lexicographic_order(self, paths_of):
-        for cls in PATH_CLASSES:
-            for n in range(5):
-                ps = paths_of(n, cls)
-                keys = [_lex_key(p) for p in ps]
-                assert keys == sorted(keys), (cls, n)
-                assert len(set(str(p) for p in ps)) == len(ps)
+    @pytest.mark.parametrize("cls", PATH_CLASSES)
+    def test_lexicographic_order(self, cls):
+        for n in range(10):
+            assert _ordered_count(generate_paths(n, cls)) == _count(n, cls), n
 
-    def test_generated_paths_reparse(self, paths_of):
-        for cls in PATH_CLASSES:
-            for n in range(5):
-                for p in paths_of(n, cls):
-                    assert parse_path(str(p), cls) == p
+    @pytest.mark.parametrize("cls", PATH_CLASSES)
+    def test_generated_paths_reparse(self, cls):
+        for n in range(10):
+            for p in generate_paths(n, cls):
+                assert parse_path(str(p), cls) == p
+
+    def test_dyck_paths_past_the_table_cap(self):
+        # 26 half units: the search takes 14 of them before the table's 12
+        def reparsed(paths):
+            for p in paths:
+                assert parse_path(str(p), "dyck") == p
+                yield p
+
+        count = _ordered_count(reparsed(generate_paths(13, "dyck")))
+        assert count == _count(13, "dyck") == 742_900
 
     def test_uh_free_matches_no_even_peak_count(self, paths_of):
         for n in range(7):
