@@ -192,14 +192,18 @@ def _run_map(args):
 
 
 def _run_check(args):
-    fast = [(f"avoids_{k}", v.avoids_fast) for k, v in partitions.FAST_PATTERNS.items()]
+    rows = partitions.FAST_PATTERNS
+    keys = ["object", "n", "blocks", *[f"avoids_{k}" for k in rows], "irreducible"]
+    template = " ".join(f"{k}=%s" for k in keys)  # the line _write makes of the dict
+    bools = ("false", "true") if args.format == "text" else (False, True)
     for text in _input_objects(args):
-        if args.kind == "partition":
-            p = partitions.parse_partition(text)
-            record = {"object": str(p), "n": p.n, "blocks": p.block_count}
-            for key, avoids_fast in fast:
-                record[key] = avoids_fast(p)
-            record["irreducible"] = bool(p) and partitions.is_irreducible_char(p)
+        if args.kind == "partition":  # one growth pass, which gives blocks too
+            word = tuple(partitions._letters(text))
+            blocks, p = partitions._growth(word), partitions.SetPartition._trusted(word)
+            flags = [bools[row.avoids_fast(p)] for row in rows.values()]
+            flags.append(bools[bool(p) and partitions.is_irreducible_char(p)])
+            vals = (str(p), len(p), blocks, *flags)
+            record = template % vals if args.format == "text" else dict(zip(keys, vals))
         else:
             cls = _infer_path_class(text)
             p = paths.parse_path(text, cls)

@@ -18,13 +18,12 @@ from .errors import InvalidObjectError, require_size
 class SetPartition(tuple):
     """An immutable set partition of [n] in canonical word form: the value is
     the word itself, a tuple of ints, so it equals and hashes as its word, and
-    indexing, slicing and ordering are those of a tuple; ``word`` returns a
-    plain tuple copy.
+    indexing, slicing and ordering are a tuple's; ``word`` is a plain copy.
 
-    The empty word represents the partition of the empty set; it is a valid
-    value but lies outside the domain of the path bijections.  The
-    constructor checks restricted growth, naming the first fault; each letter
-    must be a plain int (not a bool or another int subclass, whose str is no word).
+    The empty word (the partition of the empty set) is valid but outside the
+    bijections' domain.  :func:`_growth`, one check for the constructor and
+    ``check partition``, names the first fault of restricted growth; a letter
+    must be a plain int (not a bool or another int subclass: its str is no word).
     """
 
     __slots__ = ()
@@ -34,22 +33,7 @@ class SetPartition(tuple):
             word = tuple(word)
         except TypeError:
             raise InvalidObjectError(f"a word must be iterable, got {word!r}") from None
-        mx = 0
-        rest = iter(word)
-        for c in rest:
-            if type(c) is not int or not 0 < c <= mx + 1:
-                # c is letter i (from 1), followed by length_hint(rest) others
-                i = len(word) - length_hint(rest)
-                if type(c) is not int or c < 1:
-                    raise InvalidObjectError(
-                        f"letter at position {i} is not a positive integer: {c!r}"
-                    )
-                raise InvalidObjectError(
-                    f"restricted-growth violation at position {i}: "
-                    f"{c} exceeds previous maximum {mx} by more than one"
-                )
-            if c > mx:
-                mx = c
+        _growth(word)
         return tuple.__new__(cls, word)
 
     # _trusted(word) wraps a tuple known to be a restricted growth string
@@ -77,6 +61,27 @@ class SetPartition(tuple):
 
     def __repr__(self):
         return f"SetPartition({self.word!r})"
+
+
+def _growth(word: tuple) -> int:
+    """Raise the first fault of restricted growth, else return the word's maximum."""
+    mx = 0
+    rest = iter(word)
+    for c in rest:
+        if type(c) is not int or not 0 < c <= mx + 1:
+            # c is letter i (from 1), followed by length_hint(rest) others
+            i = len(word) - length_hint(rest)
+            if type(c) is not int or c < 1:
+                raise InvalidObjectError(
+                    f"letter at position {i} is not a positive integer: {c!r}"
+                )
+            raise InvalidObjectError(
+                f"restricted-growth violation at position {i}: "
+                f"{c} exceeds previous maximum {mx} by more than one"
+            )
+        if c > mx:
+            mx = c
+    return mx
 
 
 def parse_partition(text: str) -> SetPartition:
@@ -334,12 +339,13 @@ class Pattern(NamedTuple):
     """A pattern of the bijections: its word and its rule (``start``, ``step``).
 
     Either pattern is completed only by a letter below the running maximum.
-    ``step(state, c, mx)`` takes the state after the earlier letters
-    (``start`` before the first) and such a letter c, below the running
-    maximum mx, and returns the state after c, or None when c completes an
-    occurrence; it never mutates the state.  :meth:`avoids_fast` folds the
-    rule over a word, as ``bijections._encode`` does in the encoding pass,
-    and :func:`generate_partitions` prunes by it letter by letter: they agree.
+    ``step(state, c, mx)`` takes the state after the earlier letters (``start``
+    before the first) and such a letter c below the running maximum mx; it
+    returns the state after c, or None if c completes an occurrence, and never
+    mutates the state.  :meth:`avoids_fast` folds the rule over a word, as do
+    ``bijections._encode`` and :func:`generate_partitions` (letter by letter):
+    they agree.  ``check partition`` folds it after :func:`_growth`, the one
+    growth check, which it shares with the constructor.
     """
 
     word: SetPartition

@@ -1,7 +1,9 @@
 """Shared exhaustive-enumeration caches and independent oracles."""
 
 import math
+from collections import Counter
 from functools import lru_cache
+from itertools import accumulate
 
 import pytest
 
@@ -53,6 +55,21 @@ def _encode_by_decomposition(p):
     return "".join(out)
 
 
+def _random_uh_free(rng, n):
+    """A seeded random UH-free path of semilength n: a random Dyck path by the
+    cycle lemma, with H steps dropped at its start and after down steps, where
+    no H follows an up step."""
+    m = rng.randint(0, n)  # the Dyck semilength; the other n - m steps are H
+    word = ["D"] * (2 * m + 1)
+    for i in rng.sample(range(2 * m + 1), m):
+        word[i] = "U"
+    heights = list(accumulate(map({"U": 1, "D": -1}.get, word)))
+    k = heights.index(min(heights)) + 1  # the rotation from here stays >= 0
+    runs = "".join(word[k:] + word[:k - 1]).split("D")  # U runs between D steps
+    slots = Counter(rng.choices(range(len(runs)), k=n - m))
+    return "D".join("H" * slots[i] + run for i, run in enumerate(runs))
+
+
 @pytest.fixture(scope="session")
 def partitions_of():
     return _partitions
@@ -76,3 +93,8 @@ def bell_oracle():
 @pytest.fixture(scope="session")
 def encode_oracle():
     return _encode_by_decomposition
+
+
+@pytest.fixture(scope="session")
+def random_uh_free():
+    return _random_uh_free

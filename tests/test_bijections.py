@@ -4,7 +4,7 @@ import subprocess
 import sys
 from collections import Counter, deque
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -267,21 +267,6 @@ def _decode_by_lookahead(steps, pattern):
     return tuple(word)
 
 
-def _random_uh_free(rng, n):
-    """A seeded random UH-free path of semilength n: a random Dyck path by the
-    cycle lemma, with H steps dropped at its start and after down steps, where
-    no H follows an up step."""
-    m = rng.randint(0, n)  # the Dyck semilength; the other n - m steps are H
-    word = ["D"] * (2 * m + 1)
-    for i in rng.sample(range(2 * m + 1), m):
-        word[i] = "U"
-    heights = list(accumulate(map({"U": 1, "D": -1}.get, word)))
-    k = heights.index(min(heights)) + 1  # the rotation from here stays >= 0
-    runs = "".join(word[k:] + word[:k - 1]).split("D")  # U runs between D steps
-    slots = Counter(rng.choices(range(len(runs)), k=n - m))
-    return "D".join("H" * slots[i] + run for i, run in enumerate(runs))
-
-
 class TestDecodeKernel:
     """The decode kernel reads each peak UD as one token; it must agree with
     the step-by-step reference loop."""
@@ -294,10 +279,10 @@ class TestDecodeKernel:
                     q, pattern
                 ), q
 
-    def test_matches_reference_on_long_random_paths(self):
+    def test_matches_reference_on_long_random_paths(self, random_uh_free):
         rng = random.Random(2008)
         for _ in range(200):
-            q = _random_uh_free(rng, rng.randint(10**3, 10**4))
+            q = random_uh_free(rng, rng.randint(10**3, 10**4))
             check_path(LatticePath(q), "uh_free")
             for pattern in ("12312", "12321"):
                 assert bijections._decode(q, pattern) == _decode_by_lookahead(
@@ -399,10 +384,10 @@ class TestRewriteKernel:
                     q
                 ), q
 
-    def test_matches_reference_on_long_random_paths(self):
+    def test_matches_reference_on_long_random_paths(self, random_uh_free):
         rng = random.Random(2025)
         for _ in range(12):  # semilength log-uniform in 10^3 .. 10^5
-            q = _random_uh_free(rng, round(10 ** rng.uniform(3, 5)))
+            q = random_uh_free(rng, round(10 ** rng.uniform(3, 5)))
             check_path(LatticePath(q), "uh_free")
             self._assert_agree(q)
 

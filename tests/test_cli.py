@@ -16,6 +16,7 @@ import pytest
 
 from partition_paths import (
     InvalidObjectError,
+    LatticePath,
     LibraryError,
     LimitExceededError,
     PreconditionError,
@@ -452,6 +453,45 @@ class TestCheck:
                 "irreducible=true",
             ]
         )
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_large_words_and_their_faults(self, capsys, random_uh_free, fmt):
+        # 200 decoded words of 201 to 1001 letters, every other one with one
+        # letter replaced: a record as the reference builds it, or exit 1
+        # with parse_partition's message
+        rng = random.Random(3612)
+        outcomes = set()
+        for k in range(200):
+            q = random_uh_free(rng, rng.randint(200, 1000))
+            word = list(decode(LatticePath(q), rng.choice(["12312", "12321"])))
+            if k % 2:
+                word[rng.randrange(len(word))] = rng.randint(0, max(word) + 2)
+            text = ",".join(map(str, word))
+            try:
+                want = (0, self._reference_line(parse_partition(text), fmt) + "\n", "")
+            except InvalidObjectError as exc:
+                want = (1, "", f"partition-paths: {exc}\n")
+            assert run(capsys, "check", "partition", "--format", fmt, text) == want
+            outcomes.add(want[0])
+        assert outcomes == {0, 1}
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_growth_fault_on_a_streamed_line(self, capsys, monkeypatch, fmt):
+        # the records before the faulty line are written, and nothing after it
+        monkeypatch.setattr("sys.stdin", io.StringIO("1,2\n1,3\n1\n"))
+        assert run(capsys, "check", "partition", "--format", fmt) == (
+            1,
+            self._reference_line(parse_partition("1,2"), fmt) + "\n",
+            "partition-paths: restricted-growth violation at position 2: "
+            "3 exceeds previous maximum 1 by more than one\n",
+        )
+
+    @pytest.mark.parametrize("text", ["112", " 1, 1 ,2", "1,01,2"])
+    def test_spellings_print_the_canonical_word(self, capsys, text):
+        code, out, _ = run(capsys, "check", "partition", text)
+        assert (code, out.split()[0]) == (0, "object=1,1,2")
+        code, out, _ = run(capsys, "check", "partition", "--format", "json", text)
+        assert code == 0 and out.startswith('{"object": "1,1,2", ')
 
     def test_path_record(self, capsys):
         code, out, _ = run(capsys, "check", "path", "UUDD")

@@ -5,7 +5,7 @@ import math
 import pickle
 import random
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -23,6 +23,7 @@ from partition_paths import (
     is_irreducible_char,
     parse_partition,
 )
+from partition_paths.partitions import _growth
 
 P12312 = SetPartition((1, 2, 3, 1, 2))
 P12321 = SetPartition((1, 2, 3, 2, 1))
@@ -115,6 +116,23 @@ class TestParse:
             with pytest.raises(InvalidObjectError) as info:
                 parse_partition(text)
             assert str(info.value) == expected
+
+
+class TestGrowth:
+    def test_growth_matches_the_constructor(self):
+        # the maximum wherever the constructor accepts, its message where not
+        words = [w for k in range(8) for w in product(range(5), repeat=k)]
+        words += [(True,), (1, True), (1, 2, 1.0), (1.0,), ("1",), (1, "1")]
+        for word in words:
+            try:
+                SetPartition(word)
+            except InvalidObjectError as exc:
+                with pytest.raises(InvalidObjectError) as info:
+                    _growth(word)
+                assert str(info.value) == str(exc), word
+            else:
+                blocks = _growth(word)
+                assert type(blocks) is int and blocks == max(word, default=0), word
 
 
 class TestStr:
